@@ -16,6 +16,7 @@ Defaults live in ``DEFAULTS`` and can be overridden by a JSON config file
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -66,10 +67,49 @@ EXIT_ARGS = 2
 EXIT_DIVERGED = 3
 EXIT_VERIFY = 4
 
+# Lowest value of each integer setting; the rates and the rank fraction
+# must be positive and finite, and the fraction at most 1.
+_INT_FLOORS = {
+    "seed": 0,
+    "probe_rank": 1,
+    "probe_epochs": 0,
+    "baseline_epochs": 0,
+    "epochs_per_stage": 1,
+    "lr_step": 1,
+    "batch_size": 1,
+    "verify_cases": 0,
+    "verify_trips": 0,
+}
+_POSITIVE_REALS = ("baseline_lr", "finetune_lr", "rank_fraction")
+
 
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _bad_setting(args):
+    """One-line complaint about the first out-of-range numeric setting, or None.
+
+    Flags are parsed by argparse, but config-file values arrive as raw JSON,
+    so the type is checked too.
+    """
+    settings = vars(args)
+    for name, floor in _INT_FLOORS.items():
+        value = settings.get(name, floor)
+        if isinstance(value, bool) or not isinstance(value, int) or value < floor:
+            return f"--{name.replace('_', '-')} must be an integer >= {floor}, got {value!r}"
+    for name in _POSITIVE_REALS:
+        value = settings.get(name, 1.0)
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not (math.isfinite(value) and value > 0)
+            or (name == "rank_fraction" and value > 1)
+        ):
+            limit = "in (0, 1]" if name == "rank_fraction" else "a positive number"
+            return f"--{name.replace('_', '-')} must be {limit}, got {value!r}"
+    return None
 
 
 def _read_ranks_file(path) -> dict:
@@ -238,10 +278,13 @@ def cmd_probe(args) -> int:
         learning_rate=args.finetune_lr, batch_size=args.batch_size,
         lr_step=args.lr_step, seed=args.seed,
     )
-    report = measure_sensitivity(
-        net, eval_fn, probe_rank=args.probe_rank, data=data, cfg=cfg,
-        epochs=args.probe_epochs, seed=args.seed,
-    )
+    try:
+        report = measure_sensitivity(
+            net, eval_fn, probe_rank=args.probe_rank, data=data, cfg=cfg,
+            epochs=args.probe_epochs, seed=args.seed,
+        )
+    except ValueError as exc:
+        return _fail(EXIT_ARGS, f"invalid probe rank: {exc}")
     sys.stdout.write(report.to_table())
     return EXIT_OK
 
@@ -287,14 +330,16 @@ def _toy_mid_ranks(net: NetworkSpec, fraction: float) -> dict:
 
 
 def cmd_train(args) -> int:
-    data, baseline = _trained_baseline(args)
-    _, base_acc = evaluate(baseline, data.test_x, data.test_y)
     if args.ranks_file:
         try:
             ranks = _read_ranks_file(args.ranks_file)
         except OSError as exc:
             return _fail(EXIT_FILE, f"cannot read ranks file: {exc}")
-    else:
+        except ValueError as exc:
+            return _fail(EXIT_ARGS, f"bad ranks file: {exc}")
+    data, baseline = _trained_baseline(args)
+    _, base_acc = evaluate(baseline, data.test_x, data.test_y)
+    if not args.ranks_file:
         ranks = _toy_mid_ranks(baseline, args.rank_fraction)
     cfg = TrainConfig(
         learning_rate=args.finetune_lr, batch_size=args.batch_size,
@@ -422,8 +467,11 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return EXIT_FILE
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             print(f"error: bad config: {exc}", file=sys.stderr)
+            return EXIT_ARGS
+        if not isinstance(overlay, dict):
+            print("error: bad config: expected a JSON object", file=sys.stderr)
             return EXIT_ARGS
         unknown = set(overlay) - set(defaults)
         if unknown:
@@ -435,6 +483,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ARGS if exc.code else EXIT_OK
+    problem = _bad_setting(args)
+    if problem:
+        return _fail(EXIT_ARGS, problem)
     try:
         return _COMMANDS[args.command](args)
     except DivergedError as exc:
@@ -443,3 +494,7 @@ def main(argv=None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

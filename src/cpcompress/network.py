@@ -18,10 +18,11 @@ each preceded by its byte length and CRC32.
 """
 
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, prod
 
 import numpy as np
 
@@ -738,19 +739,24 @@ def save(net: NetworkSpec, path) -> None:
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
+    # A declared length is checked against the bytes left before reading,
+    # so a hostile length field never reaches read().
     offset = fh.tell()
-    data = fh.read(n)
+    left = os.fstat(fh.fileno()).st_size - offset
+    data = fh.read(n) if 0 <= n <= left else b""
     if len(data) != n:
         raise ModelFormatError(
-            f"truncated file: wanted {n} bytes of {what}, got {len(data)}", offset
+            f"truncated file: wanted {n} bytes of {what}, {left} left", offset
         )
     return data
 
 
 def _read_blob(fh, shape, tag: str) -> np.ndarray:
     offset = fh.tell()
+    if any(dim < 0 for dim in shape):
+        raise ModelFormatError(f"blob {tag!r} has negative shape {shape}", offset)
     length, crc = struct.unpack("<QI", _read_exact(fh, 12, f"{tag} blob header"))
-    expected = int(np.prod(shape)) * 8 if shape else 0
+    expected = prod(shape) * 8
     if length != expected:
         raise ModelFormatError(
             f"blob {tag!r} length {length} does not match shape {shape}", offset
@@ -758,7 +764,10 @@ def _read_blob(fh, shape, tag: str) -> np.ndarray:
     raw = _read_exact(fh, length, f"{tag} blob payload")
     if zlib.crc32(raw) != crc:
         raise ModelFormatError(f"checksum mismatch in blob {tag!r}", offset)
-    arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    try:
+        arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    except ValueError as exc:  # an empty blob whose other dims numpy cannot hold
+        raise ModelFormatError(f"blob {tag!r} cannot take shape {shape}: {exc}", offset) from exc
     arr.flags.writeable = False
     return arr
 
@@ -767,7 +776,7 @@ def _layer_from_manifest(entry, fh):
     try:
         kind = entry["kind"]
         name = entry["name"]
-        blob_specs = entry["blobs"]
+        blob_specs = list(entry["blobs"])
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"manifest layer entry missing field: {exc}") from exc
 
@@ -776,7 +785,9 @@ def _layer_from_manifest(entry, fh):
         try:
             tag = spec_entry["tag"]
             shape = tuple(int(s) for s in spec_entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+            if not isinstance(tag, str):
+                raise TypeError(f"tag {tag!r} is not a string")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"bad blob entry in layer {name!r}: {exc}") from exc
         arrays[tag] = _read_blob(fh, shape, tag)
 
@@ -848,14 +859,14 @@ def load(path) -> NetworkSpec:
             raise ModelFormatError("manifest checksum mismatch", offset)
         try:
             manifest = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ModelFormatError(f"manifest is not valid JSON: {exc}", offset) from exc
         _read_exact(fh, 1, "manifest terminator")
 
         try:
             input_shape = tuple(int(s) for s in manifest["input_shape"])
-            entries = manifest["layers"]
-        except (KeyError, TypeError, ValueError) as exc:
+            entries = list(manifest["layers"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"bad manifest: {exc}", offset) from exc
 
         layers = [_layer_from_manifest(entry, fh) for entry in entries]

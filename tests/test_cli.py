@@ -1,8 +1,14 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import cpcompress
 
 from cpcompress.cli import EXIT_ARGS, EXIT_FILE, EXIT_OK, main
 from cpcompress.network import load
@@ -203,6 +209,113 @@ class TestTrain:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "rank=8" in out
+
+
+    @pytest.mark.parametrize(
+        "text", ["layer\trank\nconv1\tfour\n", "conv1\t4\textra\n", "conv1 4\n"]
+    )
+    def test_malformed_ranks_file_exit_code(self, tmp_path, capsys, text):
+        ranks = tmp_path / "ranks.tsv"
+        ranks.write_text(text)
+        code = main(["train", "--ranks-file", str(ranks)] + FAST_TRAIN)
+        err = capsys.readouterr().err
+        assert code == EXIT_ARGS
+        assert err.startswith("error: bad ranks file")
+
+
+def _one_line_error(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+class TestNumericSettings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["probe", "--batch-size", "0"],
+            ["train", "--batch-size", "-3"],
+            ["probe", "--probe-rank", "0"],
+            ["probe", "--probe-epochs", "-1"],
+            ["probe", "--baseline-epochs", "-1"],
+            ["probe", "--finetune-lr", "-0.1"],
+            ["train", "--baseline-lr", "nan"],
+            ["train", "--finetune-lr", "0"],
+            ["train", "--lr-step", "0"],
+            ["train", "--epochs-per-stage", "0"],
+            ["train", "--rank-fraction", "0"],
+            ["train", "--rank-fraction", "1.5"],
+            ["verify", "--verify-cases", "-1"],
+            ["decompose", "--arch", "alexnet", "--seed", "-1"],
+        ],
+    )
+    def test_out_of_range_flag(self, capsys, argv):
+        assert main(argv) == EXIT_ARGS
+        flag = next(a for a in argv if a.startswith("--") and a != "--arch")
+        assert flag in _one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["probe", "train"])
+    @pytest.mark.parametrize(
+        "overlay",
+        [{"batch_size": 0}, {"batch_size": 2.5}, {"batch_size": True},
+         {"batch_size": None}, {"finetune_lr": 0}],
+    )
+    def test_out_of_range_config(self, tmp_path, capsys, command, overlay):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(overlay))
+        assert main(["--config", str(cfg), command]) == EXIT_ARGS
+        flag = "--" + next(iter(overlay)).replace("_", "-")
+        assert flag in _one_line_error(capsys)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "5", '"batch_size"', "\udcff"])
+    def test_config_not_an_object(self, tmp_path, capsys, text):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text, errors="surrogateescape")
+        assert main(["--config", str(cfg), "verify"]) == EXIT_ARGS
+        assert "bad config" in _one_line_error(capsys)
+
+    def test_probe_rank_above_layer_bound(self, capsys):
+        code = main([
+            "probe", "--baseline-epochs", "0", "--probe-epochs", "0",
+            "--probe-rank", "100000",
+        ])
+        assert code == EXIT_ARGS
+        assert "probe rank" in _one_line_error(capsys)
+
+
+class TestModuleEntryPoints:
+    @staticmethod
+    def _run(*args, cwd):
+        src = str(Path(cpcompress.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        return subprocess.run(
+            [sys.executable, "-m", *args], cwd=cwd, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+
+    @pytest.mark.parametrize("module", ["cpcompress", "cpcompress.cli"])
+    def test_python_dash_m_runs_the_cli(self, tmp_path, module):
+        report = tmp_path / "report.tsv"
+        report.write_text(
+            "group\tlayer\tprobe_accuracy\taccuracy_loss\nfc\tfc6\t0.5\t1.0\n"
+        )
+        done = self._run(
+            module, "allocate", "--report", str(report), "--budget", "fc=7",
+            cwd=tmp_path,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout == "layer\trank\nfc6\t7\n"
+
+    @pytest.mark.parametrize("module", ["cpcompress", "cpcompress.cli"])
+    def test_python_dash_m_exit_code(self, tmp_path, module):
+        done = self._run(module, "verify", "--verify-cases", "-1", cwd=tmp_path)
+        assert done.returncode == EXIT_ARGS
+        assert done.stderr.startswith("error: --verify-cases")
 
 
 class TestVerify:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cpcompress import svd
 from cpcompress.svd import SvdFactors, singular_values, split_fc, truncated_svd
 
 from helpers import gram_singular_values
@@ -75,6 +76,109 @@ class TestTruncatedSvd:
             oracle = gram_singular_values(w)
             expected = np.sqrt(np.sum(oracle[rank:] ** 2))
             assert abs(measured - expected) <= 1e-8 * np.linalg.norm(w)
+
+
+class TestJacobi:
+    """The QR-reduced, parallel-ordered Jacobi behind every factorization."""
+
+    @staticmethod
+    def _assert_exact_factorization(w, factors):
+        norm = max(np.linalg.norm(w), 1.0)
+        assert np.linalg.norm(w - factors.ud @ factors.vt) <= 1e-12 * norm
+        np.testing.assert_allclose(
+            factors.vt @ factors.vt.T, np.eye(factors.rank), atol=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 15, 16])
+    def test_odd_and_even_widths(self, n):
+        # An odd thin side takes the zero-padding path; n = 1 has one pair,
+        # the column against the padding, and nothing to rotate.
+        rng = np.random.default_rng(10 + n)
+        for w in (rng.standard_normal((n + 5, n)), rng.standard_normal((n, n + 5))):
+            np.testing.assert_allclose(
+                singular_values(w), np.linalg.svd(w, compute_uv=False),
+                rtol=0.0, atol=1e-13 * np.linalg.norm(w),
+            )
+            self._assert_exact_factorization(w, truncated_svd(w, n))
+
+    def test_single_column_and_row(self):
+        col = np.array([[3.0], [0.0], [-4.0]])
+        assert singular_values(col) == pytest.approx([5.0], abs=1e-14)
+        assert singular_values(col.T) == pytest.approx([5.0], abs=1e-14)
+        self._assert_exact_factorization(col, truncated_svd(col, 1))
+        self._assert_exact_factorization(col.T, truncated_svd(col.T, 1))
+
+    def test_zero_and_duplicated_columns(self):
+        rng = np.random.default_rng(11)
+        w = rng.standard_normal((12, 7))
+        w[:, 2] = 0.0
+        w[:, 5] = w[:, 1]
+        s = singular_values(w)
+        np.testing.assert_allclose(
+            s, np.linalg.svd(w, compute_uv=False), atol=1e-13 * np.linalg.norm(w)
+        )
+        assert np.all(s[5:] <= 1e-13 * s[0])
+        # Rank 5 is exact; the full rank keeps two null directions and must
+        # still pass the orthonormality guard on the live left vectors.
+        self._assert_exact_factorization(w, truncated_svd(w, 5))
+        self._assert_exact_factorization(w, truncated_svd(w, 7))
+        self._assert_exact_factorization(w.T, truncated_svd(w.T, 5))
+
+    def test_equal_norm_pair_rotates_by_45_degrees(self):
+        # Both columns have norm 5 and overlap, so zeta = 0 and the rotation
+        # falls back to t = 1; a zero angle would never converge.
+        w = np.array([[5.0, 3.0], [0.0, 4.0]])
+        np.testing.assert_allclose(
+            singular_values(w), [np.sqrt(40.0), np.sqrt(10.0)], rtol=1e-15
+        )
+        self._assert_exact_factorization(w, truncated_svd(w, 2))
+
+    def test_zero_matrix(self):
+        assert np.all(singular_values(np.zeros((5, 3))) == 0.0)
+        factors = truncated_svd(np.zeros((3, 6)), 2)
+        assert np.all(factors.ud @ factors.vt == 0.0)
+
+    @pytest.mark.parametrize("shape", [(40, 9), (9, 40), (17, 17)])
+    def test_tall_wide_square(self, shape):
+        rng = np.random.default_rng(12)
+        w = rng.standard_normal(shape)
+        factors = truncated_svd(w, min(shape))
+        self._assert_exact_factorization(w, factors)
+        s = np.linalg.norm(factors.ud, axis=0)
+        u = factors.ud / s
+        np.testing.assert_allclose(u.T @ u, np.eye(min(shape)), atol=1e-12)
+        np.testing.assert_allclose(
+            s, np.linalg.svd(w, compute_uv=False), atol=1e-13 * np.linalg.norm(w)
+        )
+
+    def test_repeated_calls_bit_identical(self):
+        rng = np.random.default_rng(13)
+        w = rng.standard_normal((30, 21))
+        before = w.copy()
+        first = truncated_svd(w, 8)
+        second = truncated_svd(w.copy(), 8)
+        assert np.array_equal(w, before)
+        assert np.array_equal(first.ud, second.ud)
+        assert np.array_equal(first.vt, second.vt)
+        assert np.array_equal(singular_values(w), singular_values(w))
+
+    def test_sweep_limit_raises(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        w = rng.standard_normal((20, 12))
+        monkeypatch.setattr(svd, "_MAX_SWEEPS", 1)
+        with pytest.raises(ArithmeticError, match="sweep limit"):
+            truncated_svd(w, 4)
+        monkeypatch.undo()
+        self._assert_exact_factorization(w, truncated_svd(w, 12))
+
+    def test_large_truncation_error_vs_gram_oracle(self):
+        rng = np.random.default_rng(15)
+        w = rng.standard_normal((256, 1024))
+        rank = 64
+        factors = truncated_svd(w, rank)
+        measured = np.linalg.norm(w - factors.ud @ factors.vt)
+        expected = np.sqrt(np.sum(gram_singular_values(w)[rank:] ** 2))
+        assert abs(measured - expected) <= 1e-8 * np.linalg.norm(w)
 
 
 class TestSplitFc:
