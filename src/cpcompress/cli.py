@@ -452,17 +452,26 @@ _COMMANDS = {
 }
 
 
+def _config_path(argv):
+    """The --config value as the full parser would read it: ``--config PATH``,
+    ``--config=PATH`` or an unambiguous abbreviation, before the subcommand."""
+    pre = argparse.ArgumentParser(prog="cpcompress", add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
+    return pre.parse_known_args(argv)[0].config
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     defaults = dict(DEFAULTS)
     # A config file changes defaults only, so flags still win.
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
-            print("error: --config needs a path", file=sys.stderr)
-            return EXIT_ARGS
+    try:
+        config = _config_path(argv)
+    except SystemExit as exc:
+        return EXIT_ARGS if exc.code else EXIT_OK
+    if config is not None:
         try:
-            with open(argv[idx + 1], "r", encoding="utf-8") as fh:
+            with open(config, "r", encoding="utf-8") as fh:
                 overlay = json.load(fh)
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)

@@ -1,10 +1,19 @@
 """Reverse-mode gradients, SGD fine-tuning, and the compression schedules.
 
 The trainer keeps its own batched forward/backward implementations (one per
-layer kind) so a whole minibatch moves through each layer as a single numpy
-operation.  Gradients are exact reverse-mode derivatives for every
-trainable tensor, including all three factor tensors of a factorized
-convolution and both matrices of a factorized fully connected layer.
+layer kind) so a whole minibatch moves through each layer at once: the
+matrix products (dense convolutions over patch matrices, the 1x1 mixes of
+a factorized convolution, fully connected layers, and every weight
+gradient) are batched BLAS calls, and the windowed stages (the depthwise
+stage of a factorized convolution and max-pooling) are one whole-batch pass
+per kernel offset over strided views.  Gradients are exact reverse-mode
+derivatives for every trainable tensor, including all three factor tensors
+of a factorized convolution and both matrices of a factorized fully
+connected layer.
+
+The per-layer states hold the network's own read-only parameter arrays;
+an SGD step replaces an array with a new one instead of writing into it,
+so training never copies or mutates its input network.
 
 Two schedules are provided.  ``iterative_compress`` factorizes one layer,
 fine-tunes the whole network (nothing is frozen), then moves to the next
@@ -196,16 +205,44 @@ def _batch_patches(xpad: np.ndarray, d: int, stride: int, wout: int, hout: int):
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * d * d, wout * hout)
 
 
-def _pad_batch(x: np.ndarray, p: int) -> np.ndarray:
-    if p == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+def _spatial(x: np.ndarray, rows: slice, cols: slice, axis: int):
+    """x indexed by rows and cols on spatial axes (axis, axis + 1)."""
+    index = [slice(None)] * x.ndim
+    index[axis], index[axis + 1] = rows, cols
+    return x[tuple(index)]
 
 
-def _unpad_batch(x: np.ndarray, p: int) -> np.ndarray:
+def _pad_batch(x: np.ndarray, p: int, axis: int = 2) -> np.ndarray:
+    """Zero-pad spatial axes (axis, axis + 1) by p on each side."""
     if p == 0:
         return x
-    return x[:, :, p:-p, p:-p]
+    shape = list(x.shape)
+    shape[axis] += 2 * p
+    shape[axis + 1] += 2 * p
+    out = np.zeros(shape)
+    _spatial(out, slice(p, -p), slice(p, -p), axis)[...] = x
+    return out
+
+
+def _unpad_batch(x: np.ndarray, p: int, axis: int = 2) -> np.ndarray:
+    if p == 0:
+        return x
+    return _spatial(x, slice(p, -p), slice(p, -p), axis)
+
+
+def _offsets(d: int) -> list:
+    """Kernel offsets (j, i) of a d x d window in row-major order."""
+    return [(j, i) for j in range(d) for i in range(d)]
+
+
+def _strided(x: np.ndarray, j: int, i: int, stride: int, wout: int, hout: int,
+             axis: int = 2):
+    """The (wout, hout) view of spatial axes (axis, axis + 1) of x that kernel
+    offset (j, i) reads for each output position."""
+    return _spatial(
+        x, slice(j, j + stride * wout, stride), slice(i, i + stride * hout, stride),
+        axis,
+    )
 
 
 def _scatter_cols(dcols, shape, d, stride, p, wout, hout):
@@ -215,9 +252,9 @@ def _scatter_cols(dcols, shape, d, stride, p, wout, hout):
     b, c, w, h = shape
     dxpad = np.zeros((b, c, w + 2 * p, h + 2 * p))
     dcols = dcols.reshape(b, c, d, d, wout, hout)
-    for j in range(d):
-        for i in range(d):
-            dxpad[:, :, j : j + stride * wout : stride, i : i + stride * hout : stride] += dcols[:, :, j, i]
+    for j, i in _offsets(d):
+        view = _strided(dxpad, j, i, stride, wout, hout)
+        view += dcols[:, :, j, i]
     return _unpad_batch(dxpad, p)
 
 
@@ -225,9 +262,9 @@ class _ConvState:
     def __init__(self, layer: Conv):
         self.name = layer.name
         self.spec = layer.spec
-        self.params = {"weights": layer.weights.copy()}
+        self.params = {"weights": layer.weights}
         if layer.bias is not None:
-            self.params["bias"] = layer.bias.copy()
+            self.params["bias"] = layer.bias
 
     def forward(self, x, cache):
         spec = self.spec
@@ -269,9 +306,9 @@ class _ConvState:
         for gi in range(g):
             dy_g = dy[:, gi * t_g : (gi + 1) * t_g].reshape(b, t_g, wout * hout)
             cols = cache["cols"][gi]
-            dw[gi * t_g : (gi + 1) * t_g] = np.einsum(
-                "btp,bkp->tk", dy_g, cols
-            ).reshape(t_g, s_g, d, d)
+            dw[gi * t_g : (gi + 1) * t_g] = (
+                np.matmul(dy_g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(t_g, s_g, d, d)
+            )
             kmat = self.params["weights"][gi * t_g : (gi + 1) * t_g].reshape(t_g, -1)
             dcols = np.matmul(kmat.T, dy_g)
             bshape = (b, s_g) + cache["x_shape"][2:]
@@ -285,84 +322,100 @@ class _ConvState:
 
 
 class _DecomposedConvState:
+    """1x1 mix (u1) -> depthwise D x D filter (u2) -> 1x1 mix (u3), per group.
+
+    Between the two mixes the activations are kept channels-last,
+    (B, W, H, R), so that the depthwise stage and its adjoint run as D^2
+    shift-and-accumulate passes (kernel offsets in row-major order) over
+    strided views of the padded intermediate with long contiguous inner
+    loops.  The mixes and their weight gradients are batched matmuls that
+    read the channels-first neighbours through transposed views."""
+
     def __init__(self, layer: DecomposedConv):
         self.name = layer.name
         self.spec = layer.spec
         self.params = {}
         for gi, f in enumerate(layer.factors):
-            self.params[f"u1.{gi}"] = f.u1.copy()
-            self.params[f"u2.{gi}"] = f.u2.copy()
-            self.params[f"u3.{gi}"] = f.u3.copy()
+            self.params[f"u1.{gi}"] = f.u1
+            self.params[f"u2.{gi}"] = f.u2
+            self.params[f"u3.{gi}"] = f.u3
         if layer.bias is not None:
-            self.params["bias"] = layer.bias.copy()
+            self.params["bias"] = layer.bias
         self.groups = layer.spec.groups
+
+    def _factors(self, gi):
+        return (self.params[f"u1.{gi}"], self.params[f"u2.{gi}"],
+                self.params[f"u3.{gi}"])
 
     def forward(self, x, cache):
         spec = self.spec
         b, _, w, h = x.shape
         wout, hout = spec.output_extent(w), spec.output_extent(h)
         s_g = spec.in_channels // spec.groups
-        d = spec.kernel_size
+        d, st, p = spec.kernel_size, spec.stride, spec.padding
         outs = []
         saved = []
         for gi in range(self.groups):
-            u1 = self.params[f"u1.{gi}"]
-            u2 = self.params[f"u2.{gi}"]
-            u3 = self.params[f"u3.{gi}"]
-            xg = x[:, gi * s_g : (gi + 1) * s_g]
-            z = np.matmul(u1, xg.reshape(b, s_g, w * h)).reshape(b, -1, w, h)
-            zpad = _pad_batch(z, spec.padding)
-            win = sliding_window_view(zpad, (d, d), axis=(2, 3))[
-                :, :, :: spec.stride, :: spec.stride
-            ][:, :, :wout, :hout]
-            z2 = np.einsum("brwhji,rji->brwh", win, u2)
-            y = np.matmul(u3, z2.reshape(b, -1, wout * hout)).reshape(
-                b, -1, wout, hout
+            u1, u2, u3 = self._factors(gi)
+            r = u2.shape[0]
+            xg = x[:, gi * s_g : (gi + 1) * s_g].reshape(b, s_g, w * h)
+            z = np.matmul(xg.transpose(0, 2, 1), u1.T).reshape(b, w, h, r)
+            zpad = _pad_batch(z, p, axis=1)
+            # Each offset's filter taps, tiled along H so that a stride-1 view
+            # and its taps share one contiguous (H, R) inner loop.
+            taps = np.empty(u2.shape[1:] + (hout, r))
+            taps[...] = u2.transpose(1, 2, 0)[:, :, None, :]
+            z2 = _strided(zpad, 0, 0, st, wout, hout, axis=1) * taps[0, 0]
+            term = np.empty_like(z2)
+            for j, i in _offsets(d)[1:]:
+                z2 += np.multiply(
+                    _strided(zpad, j, i, st, wout, hout, axis=1), taps[j, i], out=term
+                )
+            z2 = z2.reshape(b, wout * hout, r)
+            outs.append(
+                np.matmul(u3, z2.transpose(0, 2, 1)).reshape(b, -1, wout, hout)
             )
-            outs.append(y)
             if cache is not None:
-                saved.append({"xg": xg, "z_shape": z.shape, "win": win, "z2": z2})
+                saved.append({"xg": xg, "zpad": zpad, "taps": taps, "z2": z2})
         out = np.concatenate(outs, axis=1)
         if "bias" in self.params:
             out = out + self.params["bias"][None, :, None, None]
         if cache is not None:
             cache["groups"] = saved
-            cache["out_hw"] = (wout, hout)
+            cache["hw"] = (w, h)
         return out
 
     def backward(self, dy, cache, grads):
         spec = self.spec
         t_g = spec.out_channels // spec.groups
         s_g = spec.in_channels // spec.groups
-        d = spec.kernel_size
-        b = dy.shape[0]
-        wout, hout = cache["out_hw"]
+        d, st, p = spec.kernel_size, spec.stride, spec.padding
+        b, _, wout, hout = dy.shape
+        w, h = cache["hw"]
         dx_groups = []
         for gi in range(self.groups):
-            u1 = self.params[f"u1.{gi}"]
-            u2 = self.params[f"u2.{gi}"]
-            u3 = self.params[f"u3.{gi}"]
+            u1, u2, u3 = self._factors(gi)
+            r = u2.shape[0]
             saved = cache["groups"][gi]
             dy_g = dy[:, gi * t_g : (gi + 1) * t_g].reshape(b, t_g, wout * hout)
-            z2 = saved["z2"].reshape(b, -1, wout * hout)
-            grads[f"u3.{gi}"] = np.einsum("btp,brp->tr", dy_g, z2)
-            dz2 = np.matmul(u3.T, dy_g).reshape(b, -1, wout, hout)
+            grads[f"u3.{gi}"] = np.matmul(dy_g, saved["z2"]).sum(axis=0)
+            dz2 = np.matmul(dy_g.transpose(0, 2, 1), u3).reshape(b, wout, hout, r)
 
-            win = saved["win"]
-            grads[f"u2.{gi}"] = np.einsum("brwhji,brwh->rji", win, dz2)
-            _, _, zw, zh = saved["z_shape"]
-            dzpad = np.zeros((b, u2.shape[0], zw + 2 * spec.padding, zh + 2 * spec.padding))
-            for j in range(d):
-                for i in range(d):
-                    dzpad[
-                        :, :, j : j + spec.stride * wout : spec.stride,
-                        i : i + spec.stride * hout : spec.stride,
-                    ] += u2[None, :, j, i, None, None] * dz2
-            dz = _unpad_batch(dzpad, spec.padding).reshape(b, -1, zw * zh)
+            zpad, taps = saved["zpad"], saved["taps"]
+            du2 = np.empty_like(u2)
+            dzpad = np.zeros(zpad.shape)
+            term = np.empty_like(dz2)
+            rows = term.reshape(b * wout, hout * r)
+            for j, i in _offsets(d):
+                np.multiply(_strided(zpad, j, i, st, wout, hout, axis=1), dz2, out=term)
+                du2[:, j, i] = rows.sum(axis=0).reshape(hout, r).sum(axis=0)
+                view = _strided(dzpad, j, i, st, wout, hout, axis=1)
+                view += np.multiply(dz2, taps[j, i], out=term)
+            grads[f"u2.{gi}"] = du2
+            dz = _unpad_batch(dzpad, p, axis=1).reshape(b, w * h, r).transpose(0, 2, 1)
 
-            xg = saved["xg"].reshape(b, s_g, zw * zh)
-            grads[f"u1.{gi}"] = np.einsum("brp,bsp->rs", dz, xg)
-            dx_groups.append(np.matmul(u1.T, dz).reshape(b, s_g, zw, zh))
+            grads[f"u1.{gi}"] = np.matmul(dz, saved["xg"].transpose(0, 2, 1)).sum(axis=0)
+            dx_groups.append(np.matmul(u1.T, dz).reshape(b, s_g, w, h))
         if "bias" in self.params:
             grads["bias"] = dy.sum(axis=(0, 2, 3))
         return np.concatenate(dx_groups, axis=1)
@@ -371,9 +424,9 @@ class _DecomposedConvState:
 class _FcState:
     def __init__(self, layer: Fc):
         self.name = layer.name
-        self.params = {"weights": layer.weights.copy()}
+        self.params = {"weights": layer.weights}
         if layer.bias is not None:
-            self.params["bias"] = layer.bias.copy()
+            self.params["bias"] = layer.bias
 
     def forward(self, x, cache):
         out = x @ self.params["weights"].T
@@ -393,9 +446,9 @@ class _FcState:
 class _DecomposedFcState:
     def __init__(self, layer: DecomposedFc):
         self.name = layer.name
-        self.params = {"ud": layer.factors.ud.copy(), "vt": layer.factors.vt.copy()}
+        self.params = {"ud": layer.factors.ud, "vt": layer.factors.vt}
         if layer.bias is not None:
-            self.params["bias"] = layer.bias.copy()
+            self.params["bias"] = layer.bias
 
     def forward(self, x, cache):
         hidden = x @ self.params["vt"].T
@@ -431,6 +484,12 @@ class _ReLUState:
 
 
 class _MaxPoolState:
+    """Max over k x k windows, taken over the k^2 strided views of the input.
+
+    The backward pass routes each window's gradient to its first maximum in
+    row-major window order (the rule ``argmax`` uses); positions shared by
+    overlapping windows sum their gradients."""
+
     def __init__(self, layer: MaxPool):
         self.name = layer.name
         self.window = layer.window
@@ -439,13 +498,15 @@ class _MaxPoolState:
 
     def forward(self, x, cache):
         k, s = self.window, self.stride
-        b, c, w, h = x.shape
-        wout = (w - k) // s + 1
-        hout = (h - k) // s + 1
-        win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-        win = win[:, :, :wout, :hout].reshape(b, c, wout, hout, k * k)
-        idx = win.argmax(axis=-1)
-        out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+        wout = (x.shape[2] - k) // s + 1
+        hout = (x.shape[3] - k) // s + 1
+        views = [_strided(x, j, i, s, wout, hout) for j, i in _offsets(k)]
+        out = views[0].copy()
+        idx = None if cache is None else np.zeros(out.shape, np.min_scalar_type(k * k - 1))
+        for n, view in enumerate(views[1:], start=1):
+            if idx is not None:
+                np.copyto(idx, n, where=view > out)
+            np.maximum(out, view, out=out)
         if cache is not None:
             cache["idx"] = idx
             cache["x_shape"] = x.shape
@@ -454,12 +515,13 @@ class _MaxPoolState:
     def backward(self, dy, cache, grads):
         k, s = self.window, self.stride
         idx = cache["idx"]
-        b, c, wout, hout = idx.shape
+        wout, hout = idx.shape[2:]
         dx = np.zeros(cache["x_shape"])
-        bi, ci, wi, hi = np.indices(idx.shape)
-        rows = wi * s + idx // k
-        cols = hi * s + idx % k
-        np.add.at(dx, (bi, ci, rows, cols), dy)
+        routed = np.empty_like(dy)
+        for n, (j, i) in enumerate(_offsets(k)):
+            np.multiply(dy, idx == n, out=routed)
+            view = _strided(dx, j, i, s, wout, hout)
+            view += routed
         return dx
 
 
@@ -489,6 +551,7 @@ _STATE_TYPES = {
 
 
 def _build_states(net: NetworkSpec) -> list:
+    """Per-layer states referencing the layers' arrays (no copies)."""
     return [_STATE_TYPES[type(layer)](layer) for layer in net.layers]
 
 
@@ -612,7 +675,7 @@ def _run_sgd(states, data: Dataset, cfg: TrainConfig, epochs: int):
             for state, grads in zip(states, per_state):
                 rate = cfg.rate_for(state.name, epoch)
                 for key, grad in grads.items():
-                    state.params[key] -= rate * grad
+                    state.params[key] = state.params[key] - rate * grad
         test_logits = _chunked_outputs(states, data.test_x)
         test_loss, _ = softmax_cross_entropy(test_logits, data.test_y)
         test_acc = float((test_logits.argmax(axis=1) == data.test_y).mean())

@@ -172,3 +172,33 @@ def gradient_check_net(rng: np.random.Generator):
         ),
     )
     return NetworkSpec((2, 9, 9), layers)
+
+
+def strided_check_net(rng: np.random.Generator):
+    """A tiny network with the layouts gradient_check_net leaves out: a
+    factorized convolution with stride 2, no padding and two groups, and an
+    overlapping 3x3 stride-2 max-pool."""
+    from cpcompress.conv import ConvSpec
+    from cpcompress.network import Flatten, MaxPool, ReLU
+
+    conv = ConvSpec(4, 2, 3, stride=1, padding=1)
+    dec_spec = ConvSpec(6, 4, 3, stride=2, padding=0, groups=2)
+    dec_factors = tuple(
+        CpFactors(
+            rng.standard_normal((2, 2)) * 0.5,
+            rng.standard_normal((2, 3, 3)) * 0.5,
+            rng.standard_normal((3, 2)) * 0.5,
+        )
+        for _ in range(2)
+    )
+    layers = (
+        Conv("conv_in", conv, rng.standard_normal(conv.kernel_shape) * 0.5,
+             rng.standard_normal(4) * 0.1),
+        ReLU("relu_in"),
+        DecomposedConv("conv_s", dec_spec, dec_factors, rng.standard_normal(6) * 0.1),
+        MaxPool("pool_o", window=3, stride=2),
+        Flatten("flatten"),
+        Fc("fc_o", rng.standard_normal((5, 6 * 3 * 3)) * 0.3,
+           rng.standard_normal(5) * 0.1),
+    )
+    return NetworkSpec((2, 15, 15), layers)

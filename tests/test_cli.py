@@ -343,6 +343,32 @@ class TestConfigOverlay:
         assert code == EXIT_OK
         assert "30 cases" in out
 
+    @staticmethod
+    def _config_args(form, path):
+        return [f"--config={path}"] if form == "equals" else ["--conf", str(path)]
+
+    @pytest.mark.parametrize("form", ["equals", "abbreviated"])
+    def test_config_forms_read_missing_file(self, capsys, form):
+        argv = self._config_args(form, "/nope/missing.json")
+        code = main(argv + ["verify", "--verify-cases", "1", "--verify-trips", "1"])
+        assert code == EXIT_FILE
+        assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", ["equals", "abbreviated"])
+    def test_config_forms_change_defaults(self, tmp_path, capsys, form):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"verify_cases": 25, "verify_trips": 5}))
+        code = main(self._config_args(form, cfg) + ["verify"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "25 cases" in out
+
+    def test_config_after_subcommand_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"verify_cases": 25}))
+        assert main(["verify", f"--config={cfg}"]) == EXIT_ARGS
+        capsys.readouterr()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"mystery_knob": 1}))

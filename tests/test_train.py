@@ -28,11 +28,49 @@ from cpcompress.train import (
     softmax_cross_entropy,
 )
 
-from helpers import check_gradients, gradient_check_net
+from helpers import check_gradients, gradient_check_net, strided_check_net
 
 
 def tiny_dataset(seed=0, n_train=120, n_test=60):
     return make_synthetic_dataset(n_train=n_train, n_test=n_test, seed=seed)
+
+
+def _layer_arrays(net):
+    """Every parameter array of every layer, in network order."""
+    arrays = []
+    for layer in net.layers:
+        if isinstance(layer, DecomposedConv):
+            for f in layer.factors:
+                arrays += [f.u1, f.u2, f.u3]
+        elif isinstance(layer, DecomposedFc):
+            arrays += [layer.factors.ud, layer.factors.vt]
+        elif hasattr(layer, "weights"):
+            arrays.append(layer.weights)
+        if getattr(layer, "bias", None) is not None:
+            arrays.append(layer.bias)
+    return arrays
+
+
+def _loop_pool(x, dy, k, s):
+    """Max-pool forward and backward, one window at a time: each window's
+    gradient goes to its first maximum in row-major order."""
+    b, c, w, h = x.shape
+    wout, hout = (w - k) // s + 1, (h - k) // s + 1
+    out = np.zeros((b, c, wout, hout))
+    dx = np.zeros_like(x)
+    for n in range(b):
+        for ch in range(c):
+            for wo in range(wout):
+                for ho in range(hout):
+                    window = x[n, ch, wo * s : wo * s + k, ho * s : ho * s + k]
+                    best = 0
+                    for pos in range(1, k * k):
+                        if window.flat[pos] > window.flat[best]:
+                            best = pos
+                    j, i = divmod(best, k)
+                    out[n, ch, wo, ho] = window[j, i]
+                    dx[n, ch, wo * s + j, ho * s + i] += dy[n, ch, wo, ho]
+    return out, dx
 
 
 class TestLosses:
@@ -65,19 +103,21 @@ class TestBackward:
 
     def test_every_layer_kind_against_finite_differences(self):
         rng = np.random.default_rng(1)
-        net = gradient_check_net(rng)
-        x = rng.standard_normal((3,) + net.input_shape) * 0.7
-        labels = rng.integers(0, 5, 3)
-        worst = check_gradients(net, x, labels, rel_tol=1e-4, rng=np.random.default_rng(2))
-        assert worst <= 1e-4
+        for make_net in (gradient_check_net, strided_check_net):
+            net = make_net(rng)
+            x = rng.standard_normal((3,) + net.input_shape) * 0.7
+            labels = rng.integers(0, 5, 3)
+            worst = check_gradients(net, x, labels, rel_tol=1e-4, rng=np.random.default_rng(2))
+            assert worst <= 1e-4
 
     def test_batched_forward_matches_single_sample(self):
         rng = np.random.default_rng(3)
-        net = gradient_check_net(rng)
-        x = rng.standard_normal((4,) + net.input_shape)
-        batched = batch_outputs(net, x)
-        single = np.stack([forward(net, x[i]) for i in range(4)])
-        np.testing.assert_allclose(batched, single, atol=1e-12)
+        for make_net in (gradient_check_net, strided_check_net):
+            net = make_net(rng)
+            x = rng.standard_normal((4,) + net.input_shape)
+            batched = batch_outputs(net, x)
+            single = np.stack([forward(net, x[i]) for i in range(4)])
+            np.testing.assert_allclose(batched, single, atol=1e-12)
 
     def test_gradient_keys_cover_all_trainable_tensors(self):
         rng = np.random.default_rng(4)
@@ -91,6 +131,32 @@ class TestBackward:
         assert ("conv_d", "u3.0") in grads
         assert ("fc_d", "ud") in grads
         assert ("fc_d", "vt") in grads
+
+
+class TestMaxPoolTies:
+    @pytest.mark.parametrize("k, s", [(2, 2), (3, 2), (2, 1), (3, 1), (3, 3)])
+    def test_ties_route_to_first_maximum(self, k, s):
+        from cpcompress.network import MaxPool
+        from cpcompress.train import _MaxPoolState
+
+        rng = np.random.default_rng(k * 10 + s)
+        # Values from {0, 1, 2} tie often; the last sample ties everywhere.
+        x = rng.integers(0, 3, (3, 2, 8, 9)).astype(float)
+        x[-1] = 1.0
+        state = _MaxPoolState(MaxPool("pool", window=k, stride=s))
+        cache = {}
+        out = state.forward(x, cache)
+        # Small integer gradients keep the sums at shared positions exact.
+        dy = rng.integers(-4, 5, out.shape).astype(float)
+        dx = state.backward(dy, cache, {})
+        want_out, want_dx = _loop_pool(x, dy, k, s)
+        np.testing.assert_array_equal(out, want_out)
+        np.testing.assert_array_equal(state.forward(x, None), want_out)
+        np.testing.assert_array_equal(dx, want_dx)
+        # In the all-tied sample every window routes to its top-left element.
+        corner = np.zeros(x.shape[1:], dtype=bool)
+        corner[:, : s * out.shape[2] : s, : s * out.shape[3] : s] = True
+        assert not np.any(dx[-1][~corner])
 
 
 class TestFinetune:
@@ -111,8 +177,26 @@ class TestFinetune:
         grads = backward(net, data.train_x[:8], data.train_y[:8])
         for state in states:
             for key in state.params:
-                state.params[key] -= 0.0 * grads[(state.name, key)]
+                state.params[key] = state.params[key] - 0.0 * grads[(state.name, key)]
         assert _export_states(net, states) == net
+
+    def test_finetune_leaves_input_arrays_untouched(self):
+        from cpcompress.network import decompose_layer, replace_layer
+
+        data = tiny_dataset()
+        net = toy_cnn(seed=2)
+        net = replace_layer(net, "conv2", decompose_layer(net.layer("conv2"), 4, seed=0))
+        net = replace_layer(net, "fc1", decompose_layer(net.layer("fc1"), 6, seed=0))
+        arrays = _layer_arrays(net)
+        before = [a.copy() for a in arrays]
+        tuned, _ = finetune(net, data, TrainConfig(learning_rate=0.05, seed=0), epochs=1)
+        assert len(arrays) == 11
+        for array, copy in zip(arrays, before):
+            assert not array.flags.writeable
+            assert array.tobytes() == copy.tobytes()
+        assert not any(
+            a.tobytes() == b.tobytes() for a, b in zip(arrays, _layer_arrays(tuned))
+        )
 
     def test_no_tensor_frozen_after_one_step(self):
         data = tiny_dataset()
