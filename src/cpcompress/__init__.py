@@ -23,7 +23,6 @@ from .conv import (
     conv_forward_decomposed,
     fc_forward,
     max_pool,
-    relu,
 )
 from .cp import (
     CpFactors,
@@ -63,15 +62,8 @@ from .presets import (
     alexnet_decomposed,
     toy_cnn,
 )
-from .svd import SvdFactors, singular_values, split_fc, truncated_svd
-from .tensor import (
-    DenseTensor,
-    Rank1Term,
-    add_scaled,
-    frobenius_norm,
-    mode_contract,
-    outer_product,
-)
+from .svd import SvdFactors, singular_values, truncated_svd
+from .tensor import DenseTensor
 from .train import (
     DivergedError,
     EpochStats,

@@ -150,11 +150,8 @@ def probe_sensitivity(
     `epochs` epochs first (default one); the input network is never
     modified.  `eval_fn` maps a network to an accuracy fraction.
     """
-    layer = net.layer(layer_name)
-    if not isinstance(layer, (Conv, Fc)):
-        raise ValueError(f"layer {layer_name!r} is not decomposable")
     probed = replace_layer(
-        net, layer_name, decompose_layer(layer, probe_rank, seed=seed)
+        net, layer_name, decompose_layer(net.layer(layer_name), probe_rank, seed=seed)
     )
     if data is not None and epochs > 0:
         cfg = cfg or train_mod.TrainConfig()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DenseTensor, Rank1Term, _frozen
+from .tensor import DenseTensor, _frozen
 
 __all__ = [
     "TpmConfig",
@@ -81,6 +81,8 @@ class CpFactors:
                 f"rank mismatch across factors: {u1.shape[0]}, "
                 f"{u2.shape[0]}, {u3.shape[1]}"
             )
+        if u1.shape[0] < 1:
+            raise ValueError("rank must be >= 1")
         object.__setattr__(self, "u1", u1)
         object.__setattr__(self, "u2", u2)
         object.__setattr__(self, "u3", u3)
@@ -174,12 +176,12 @@ def _fit_rank1_array(
     return a, b, c, scale
 
 
-def fit_rank1(target: DenseTensor, cfg: TpmConfig) -> Rank1Term:
+def fit_rank1(target: DenseTensor, cfg: TpmConfig) -> tuple:
     """Fit one rank-1 term to a 3-way tensor.
 
-    Returns unit mode vectors and a non-negative scale locally minimizing
-    the Frobenius distance to the target.  A zero target yields a
-    zero-scale term (not an error).
+    Returns (a, b, c, scale): unit mode vectors and a non-negative scale
+    locally minimizing the Frobenius distance from scale * a o b o c to the
+    target.  A zero target yields a zero-scale term (not an error).
     """
     arr = target.array
     if arr.ndim != 3:
@@ -187,8 +189,7 @@ def fit_rank1(target: DenseTensor, cfg: TpmConfig) -> Rank1Term:
     if not np.all(np.isfinite(arr)):
         raise ValueError("target contains non-finite values")
     rng = np.random.default_rng(cfg.seed)
-    a, b, c, scale = _fit_rank1_array(arr, rng, cfg.max_inner_iters, cfg.tol)
-    return Rank1Term((a, b, c), scale)
+    return _fit_rank1_array(arr, rng, cfg.max_inner_iters, cfg.tol)
 
 
 def _check_kernel(kernel: DenseTensor) -> np.ndarray:

@@ -1,16 +1,24 @@
-"""Layer-graph model of a small CNN: construction, replacement, accounting, I/O.
+"""Layer-graph model of a small CNN: layers, construction, replacement,
+accounting, I/O.
+
+Each layer kind is one class that owns everything about that kind: its
+output shape, its named parameter arrays (and how to rebuild the layer from
+them), its weight and multiply counts, its model-file fields, and a batched
+forward and backward pass built on the array kernels in ``conv.py``.  The
+functions below are loops over those members.
 
 A :class:`NetworkSpec` is an immutable ordered list of layers whose shapes
 are validated to compose at construction.  Compressing a network never
 mutates it: :func:`replace_layer` swaps one named slot for its factorized
-form and returns a new value.
+form and returns a new value.  :func:`forward` runs one input as a batch of
+one through the same passes the trainer uses.
 
-Parameter and multiply accounting live here too.  For a convolution layer,
-the factorized form needs R*S + R*D^2 + T*R weights instead of T*S*D^2 and
-R*S*W*H + R*D^2*W'*H' + T*R*W'*H' multiplies instead of T*S*D^2*W'*H'; for
-a fully connected layer both weight and multiply counts go from M*N to
-M*R + R*N.  ``count_params`` measures the materialized arrays and
-cross-asserts the closed-form counts against them.
+For a convolution layer, the factorized form needs R*S + R*D^2 + T*R weights
+instead of T*S*D^2 and R*S*W*H + R*D^2*W'*H' + T*R*W'*H' multiplies instead
+of T*S*D^2*W'*H'; for a fully connected layer both weight and multiply
+counts go from M*N to M*R + R*N.  ``count_params`` measures the
+materialized arrays and cross-asserts the closed-form counts against them;
+an instrumented ``forward`` counts the multiplies the kernels perform.
 
 Model files are a self-describing container: a one-line magic+version
 header, a JSON manifest of layers, then raw little-endian float64 blobs,
@@ -21,7 +29,8 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from dataclasses import fields as dataclass_fields
 from math import ceil, prod
 
 import numpy as np
@@ -59,16 +68,112 @@ _MAGIC = b"CPNET"
 _FORMAT_VERSION = 1
 
 
-def _opt_frozen(arr):
-    return None if arr is None else _frozen(arr)
+class _Layer:
+    """What every layer kind provides.  The defaults suit a kind with no
+    parameters and no multiplies.
+
+    ``forward(params, x, cache, counter)`` maps a batch to a batch and
+    ``backward(params, dy, cache, grads)`` returns the input gradient and
+    puts the parameter gradients in ``grads``; both take the parameters as
+    a ``params()``-style dict so a trainer can update them in place of the
+    layer's own read-only arrays.
+    """
+
+    stages = 1  # computational stages the slot holds
+
+    @property
+    def report_kind(self) -> str:
+        """The kind column of the compression table."""
+        return self.kind
+
+    def params(self) -> dict:
+        """Named parameter arrays, in the order the model file stores them."""
+        return {}
+
+    def with_params(self, params: dict):
+        """The same layer holding `params` in place of its own arrays."""
+        return self
+
+    def fields(self) -> dict:
+        """Manifest fields besides name, kind and blobs."""
+        return {}
+
+    @classmethod
+    def build(cls, name, fields, params):
+        """The layer a manifest entry's fields and named arrays describe."""
+        return cls(name)
+
+    def counts(self, in_shape) -> tuple:
+        """(original weights, weights, original multiplies, multiplies) of one
+        input of in_shape; a factorized slot's originals are the dense layer's."""
+        return 0, 0, 0, 0
+
+
+class _Weighted(_Layer):
+    """A linear map plus an optional per-output bias."""
+
+    def _freeze_bias(self, out_features: int):
+        b = None if self.bias is None else _frozen(self.bias)
+        if b is not None and b.shape != (out_features,):
+            raise ValueError(f"{self.name}: bias shape {b.shape} is wrong")
+        object.__setattr__(self, "bias", b)
+
+    def _with_bias(self, params: dict) -> dict:
+        if self.bias is not None:
+            params["bias"] = self.bias
+        return params
+
+    def with_params(self, params: dict):
+        return type(self).build(self.name, self.fields(), params)
+
+    def forward(self, params, x, cache=None, counter=None):
+        out = self._linear(params, x, cache, counter)
+        bias = params.get("bias")
+        if bias is None:
+            return out
+        return out + bias.reshape((-1,) + (1,) * (out.ndim - 2))
+
+    def backward(self, params, dy, cache, grads):
+        if "bias" in params:
+            grads["bias"] = dy.sum(axis=(0,) + tuple(range(2, dy.ndim)))
+        return self._linear_backward(params, dy, cache, grads)
+
+
+class _ConvKind(_Weighted):
+    """Shape and manifest fields of the dense and the factorized convolution."""
+
+    def out_shape(self, shape) -> tuple:
+        spec = self.spec
+        if len(shape) != 3 or shape[0] != spec.in_channels:
+            raise ValueError(
+                f"{self.name}: expects {spec.in_channels} channels, "
+                f"input shape is {shape}"
+            )
+        return (spec.out_channels, spec.output_extent(shape[1]),
+                spec.output_extent(shape[2]))
+
+    def fields(self) -> dict:
+        return asdict(self.spec)
+
+    def _dense_mults(self, in_shape) -> int:
+        spec = self.spec
+        wout = spec.output_extent(in_shape[1])
+        hout = spec.output_extent(in_shape[2])
+        return spec.weight_count * wout * hout
+
+
+def _spec(fields) -> ConvSpec:
+    return ConvSpec(**{f.name: fields[f.name] for f in dataclass_fields(ConvSpec)})
 
 
 @dataclass(frozen=True, eq=False)
-class Conv:
+class Conv(_ConvKind):
     name: str
     spec: ConvSpec
     weights: np.ndarray  # (T, S/groups, D, D)
     bias: np.ndarray | None = None
+
+    kind = "conv"
 
     def __post_init__(self):
         w = _frozen(self.weights)
@@ -77,15 +182,32 @@ class Conv:
                 f"{self.name}: kernel shape {w.shape} does not match "
                 f"{self.spec.kernel_shape}"
             )
-        b = _opt_frozen(self.bias)
-        if b is not None and b.shape != (self.spec.out_channels,):
-            raise ValueError(f"{self.name}: bias shape {b.shape} is wrong")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
+        self._freeze_bias(self.spec.out_channels)
+
+    def params(self) -> dict:
+        return self._with_bias({"weights": self.weights})
+
+    @classmethod
+    def build(cls, name, fields, params):
+        return cls(name, _spec(fields), params["weights"], params.get("bias"))
+
+    def counts(self, in_shape) -> tuple:
+        mults = self._dense_mults(in_shape)
+        return self.weights.size, self.weights.size, mults, mults
+
+    def _linear(self, params, x, cache, counter):
+        return conv_ops.batch_conv(x, params["weights"], self.spec, cache, counter)
+
+    def _linear_backward(self, params, dy, cache, grads):
+        dx, grads["weights"] = conv_ops.batch_conv_backward(
+            dy, params["weights"], self.spec, cache
+        )
+        return dx
 
 
 @dataclass(frozen=True, eq=False)
-class DecomposedConv:
+class DecomposedConv(_ConvKind):
     """A convolution slot replaced by its three factorized stages.
 
     Occupies one slot under the original layer's name but counts as three
@@ -97,49 +219,110 @@ class DecomposedConv:
     factors: tuple
     bias: np.ndarray | None = None
 
+    kind = "decomposed_conv"
+    stages = 3
+
     def __post_init__(self):
-        factors = self.factors
-        if isinstance(factors, CpFactors):
-            factors = (factors,)
-        factors = tuple(factors)
-        if len(factors) != self.spec.groups:
-            raise ValueError(
-                f"{self.name}: expected {self.spec.groups} factor groups, "
-                f"got {len(factors)}"
-            )
-        s_g = self.spec.in_channels // self.spec.groups
-        t_g = self.spec.out_channels // self.spec.groups
-        for f in factors:
-            if f.in_channels != s_g or f.out_channels != t_g:
-                raise ValueError(f"{self.name}: factor channel shape mismatch")
-            if f.kernel_size != self.spec.kernel_size:
-                raise ValueError(f"{self.name}: factor kernel size mismatch")
-        b = _opt_frozen(self.bias)
-        if b is not None and b.shape != (self.spec.out_channels,):
-            raise ValueError(f"{self.name}: bias shape {b.shape} is wrong")
+        try:
+            factors = self.spec.group_factors(self.factors)
+        except ValueError as exc:
+            raise ValueError(f"{self.name}: {exc}") from exc
         object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "bias", b)
+        self._freeze_bias(self.spec.out_channels)
 
     @property
     def ranks(self) -> tuple:
         return tuple(f.rank for f in self.factors)
 
+    def fields(self) -> dict:
+        return {**super().fields(), "ranks": list(self.ranks)}
+
+    def params(self) -> dict:
+        out = {}
+        for gi, f in enumerate(self.factors):
+            out[f"u1.{gi}"], out[f"u2.{gi}"], out[f"u3.{gi}"] = f.u1, f.u2, f.u3
+        return self._with_bias(out)
+
+    @classmethod
+    def build(cls, name, fields, params):
+        spec = _spec(fields)
+        factors = tuple(
+            CpFactors(params[f"u1.{gi}"], params[f"u2.{gi}"], params[f"u3.{gi}"])
+            for gi in range(spec.groups)
+        )
+        return cls(name, spec, factors, params.get("bias"))
+
+    def counts(self, in_shape) -> tuple:
+        """Weights are measured and cross-checked against R*S + R*D^2 + T*R
+        per group; multiplies are R*S*W*H + R*D^2*W'*H' + T*R*W'*H'."""
+        spec = self.spec
+        w, h = in_shape[1], in_shape[2]
+        wout, hout = spec.output_extent(w), spec.output_extent(h)
+        s_g = spec.in_channels // spec.groups
+        t_g = spec.out_channels // spec.groups
+        d = spec.kernel_size
+        params = 0
+        mults = 0
+        for f in self.factors:
+            analytic = f.rank * s_g + f.rank * d * d + t_g * f.rank
+            if f.param_count != analytic:
+                raise AssertionError(
+                    f"{self.name}: measured factor params {f.param_count} != "
+                    f"closed-form {analytic}"
+                )
+            params += f.param_count
+            mults += (
+                f.rank * s_g * w * h
+                + f.rank * d * d * wout * hout
+                + t_g * f.rank * wout * hout
+            )
+        return spec.weight_count, params, self._dense_mults(in_shape), mults
+
+    def _factors(self, params) -> list:
+        return [(params[f"u1.{gi}"], params[f"u2.{gi}"], params[f"u3.{gi}"])
+                for gi in range(self.spec.groups)]
+
+    def _linear(self, params, x, cache, counter):
+        return conv_ops.batch_cp_conv(x, self._factors(params), self.spec, cache, counter)
+
+    def _linear_backward(self, params, dy, cache, grads):
+        dx, dfactors = conv_ops.batch_cp_conv_backward(
+            dy, self._factors(params), self.spec, cache
+        )
+        for gi, (du1, du2, du3) in enumerate(dfactors):
+            grads[f"u1.{gi}"], grads[f"u2.{gi}"], grads[f"u3.{gi}"] = du1, du2, du3
+        return dx
+
+
+class _FcKind(_Weighted):
+    """Shape and manifest fields of the dense and the factorized fc layer."""
+
+    def out_shape(self, shape) -> tuple:
+        if len(shape) != 1 or shape[0] != self.in_features:
+            raise ValueError(
+                f"{self.name}: expects a vector of {self.in_features}, "
+                f"input shape is {shape}"
+            )
+        return (self.out_features,)
+
+    def fields(self) -> dict:
+        return {"out_features": self.out_features, "in_features": self.in_features}
+
 
 @dataclass(frozen=True, eq=False)
-class Fc:
+class Fc(_FcKind):
     name: str
     weights: np.ndarray  # (out_features, in_features)
     bias: np.ndarray | None = None
+
+    kind = "fc"
 
     def __post_init__(self):
         w = _frozen(self.weights)
         if w.ndim != 2:
             raise ValueError(f"{self.name}: weights must be a matrix")
-        b = _opt_frozen(self.bias)
-        if b is not None and b.shape != (w.shape[0],):
-            raise ValueError(f"{self.name}: bias shape {b.shape} is wrong")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
+        self._freeze_bias(w.shape[0])
 
     @property
     def out_features(self) -> int:
@@ -149,20 +332,40 @@ class Fc:
     def in_features(self) -> int:
         return self.weights.shape[1]
 
+    def params(self) -> dict:
+        return self._with_bias({"weights": self.weights})
+
+    @classmethod
+    def build(cls, name, fields, params):
+        return cls(name, params["weights"], params.get("bias"))
+
+    def counts(self, in_shape) -> tuple:
+        n = self.weights.size
+        return n, n, n, n
+
+    def _linear(self, params, x, cache, counter):
+        if cache is not None:
+            cache["x"] = x
+        return conv_ops.batch_fc(x, params["weights"], counter)
+
+    def _linear_backward(self, params, dy, cache, grads):
+        dx, grads["weights"] = conv_ops.batch_fc_backward(dy, params["weights"], cache["x"])
+        return dx
+
 
 @dataclass(frozen=True, eq=False)
-class DecomposedFc:
+class DecomposedFc(_FcKind):
     """A fully connected slot replaced by its two factorized stages."""
 
     name: str
     factors: SvdFactors
     bias: np.ndarray | None = None
 
+    kind = "decomposed_fc"
+    stages = 2
+
     def __post_init__(self):
-        b = _opt_frozen(self.bias)
-        if b is not None and b.shape != (self.factors.out_features,):
-            raise ValueError(f"{self.name}: bias shape {b.shape} is wrong")
-        object.__setattr__(self, "bias", b)
+        self._freeze_bias(self.factors.out_features)
 
     @property
     def out_features(self) -> int:
@@ -176,66 +379,122 @@ class DecomposedFc:
     def rank(self) -> int:
         return self.factors.rank
 
+    def fields(self) -> dict:
+        return {**super().fields(), "rank": self.rank}
+
+    def params(self) -> dict:
+        return self._with_bias({"ud": self.factors.ud, "vt": self.factors.vt})
+
+    @classmethod
+    def build(cls, name, fields, params):
+        return cls(name, SvdFactors(params["ud"], params["vt"]), params.get("bias"))
+
+    def counts(self, in_shape) -> tuple:
+        m, n, r = self.out_features, self.in_features, self.rank
+        measured = self.factors.param_count
+        if measured != m * r + r * n:
+            raise AssertionError(
+                f"{self.name}: measured factor params {measured} != "
+                f"closed-form {m * r + r * n}"
+            )
+        return m * n, measured, m * n, measured
+
+    def _linear(self, params, x, cache, counter):
+        hidden = conv_ops.batch_fc(x, params["vt"], counter)
+        if cache is not None:
+            cache["x"] = x
+            cache["hidden"] = hidden
+        return conv_ops.batch_fc(hidden, params["ud"], counter)
+
+    def _linear_backward(self, params, dy, cache, grads):
+        dhidden, grads["ud"] = conv_ops.batch_fc_backward(dy, params["ud"], cache["hidden"])
+        dx, grads["vt"] = conv_ops.batch_fc_backward(dhidden, params["vt"], cache["x"])
+        return dx
+
 
 @dataclass(frozen=True, eq=False)
-class ReLU:
+class ReLU(_Layer):
     name: str
 
+    kind = "relu"
+
+    def out_shape(self, shape) -> tuple:
+        return shape
+
+    def forward(self, params, x, cache=None, counter=None):
+        if cache is not None:
+            cache["mask"] = x > 0.0
+        return np.maximum(x, 0.0)
+
+    def backward(self, params, dy, cache, grads):
+        return dy * cache["mask"]
+
 
 @dataclass(frozen=True, eq=False)
-class MaxPool:
+class MaxPool(_Layer):
+    """Max over window x window blocks; each block's gradient goes to its
+    first maximum in row-major order."""
+
     name: str
     window: int
     stride: int
+
+    kind = "max_pool"
+    report_kind = "maxpool"
 
     def __post_init__(self):
         if self.window < 1 or self.stride < 1:
             raise ValueError(f"{self.name}: window and stride must be >= 1")
 
-
-@dataclass(frozen=True, eq=False)
-class Flatten:
-    name: str
-
-
-_DECOMPOSABLE = (Conv, Fc)
-_WEIGHTED = (Conv, DecomposedConv, Fc, DecomposedFc)
-
-
-def _propagate_shape(layer, shape):
-    """Output shape of `layer` applied to input `shape`; raises on mismatch."""
-    if isinstance(layer, (Conv, DecomposedConv)):
-        if len(shape) != 3 or shape[0] != layer.spec.in_channels:
-            raise ValueError(
-                f"{layer.name}: expects {layer.spec.in_channels} channels, "
-                f"input shape is {shape}"
-            )
-        wout = layer.spec.output_extent(shape[1])
-        hout = layer.spec.output_extent(shape[2])
-        return (layer.spec.out_channels, wout, hout)
-    if isinstance(layer, (Fc, DecomposedFc)):
-        if len(shape) != 1 or shape[0] != layer.in_features:
-            raise ValueError(
-                f"{layer.name}: expects a vector of {layer.in_features}, "
-                f"input shape is {shape}"
-            )
-        return (layer.out_features,)
-    if isinstance(layer, ReLU):
-        return shape
-    if isinstance(layer, MaxPool):
+    def out_shape(self, shape) -> tuple:
         if len(shape) != 3:
-            raise ValueError(f"{layer.name}: pooling needs a 3-way input")
+            raise ValueError(f"{self.name}: pooling needs a 3-way input")
         _, w, h = shape
-        if layer.window > w or layer.window > h:
-            raise ValueError(f"{layer.name}: window exceeds extent {shape}")
+        if self.window > w or self.window > h:
+            raise ValueError(f"{self.name}: window exceeds extent {shape}")
         return (
             shape[0],
-            (w - layer.window) // layer.stride + 1,
-            (h - layer.window) // layer.stride + 1,
+            (w - self.window) // self.stride + 1,
+            (h - self.window) // self.stride + 1,
         )
-    if isinstance(layer, Flatten):
+
+    def fields(self) -> dict:
+        return {"window": self.window, "stride": self.stride}
+
+    @classmethod
+    def build(cls, name, fields, params):
+        return cls(name, fields["window"], fields["stride"])
+
+    def forward(self, params, x, cache=None, counter=None):
+        return conv_ops.batch_max_pool(x, self.window, self.stride, cache)
+
+    def backward(self, params, dy, cache, grads):
+        return conv_ops.batch_max_pool_backward(dy, self.window, self.stride, cache)
+
+
+@dataclass(frozen=True, eq=False)
+class Flatten(_Layer):
+    name: str
+
+    kind = "flatten"
+
+    def out_shape(self, shape) -> tuple:
         return (int(np.prod(shape)),)
-    raise TypeError(f"unknown layer type {type(layer).__name__}")
+
+    def forward(self, params, x, cache=None, counter=None):
+        if cache is not None:
+            cache["shape"] = x.shape
+        return x.reshape(x.shape[0], -1)
+
+    def backward(self, params, dy, cache, grads):
+        return dy.reshape(cache["shape"])
+
+
+_KINDS = {
+    cls.kind: cls
+    for cls in (Conv, DecomposedConv, Fc, DecomposedFc, ReLU, MaxPool, Flatten)
+}
+_DECOMPOSABLE = (Conv, Fc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,7 +517,7 @@ class NetworkSpec:
         shape = self.input_shape
         shapes = []
         for layer in self.layers:
-            shape = _propagate_shape(layer, shape)
+            shape = layer.out_shape(shape)
             shapes.append(shape)
         return shapes
 
@@ -269,6 +528,7 @@ class NetworkSpec:
         raise ValueError(f"no layer named {name!r}")
 
     def __eq__(self, other):
+        """Bit-exact: the same manifest entries and the same blob bytes."""
         if not isinstance(other, NetworkSpec):
             return NotImplemented
         if self.input_shape != other.input_shape:
@@ -281,90 +541,27 @@ class NetworkSpec:
         )
 
 
-def _arr_bytes(arr):
-    return None if arr is None else (arr.shape, arr.tobytes())
-
-
 def _layer_state(layer) -> tuple:
-    """Canonical value of a layer, used for bit-exact equality."""
-    if isinstance(layer, Conv):
-        return ("conv", layer.name, layer.spec, _arr_bytes(layer.weights),
-                _arr_bytes(layer.bias))
-    if isinstance(layer, DecomposedConv):
-        factor_state = tuple(
-            (_arr_bytes(f.u1), _arr_bytes(f.u2), _arr_bytes(f.u3))
-            for f in layer.factors
-        )
-        return ("decomposed_conv", layer.name, layer.spec, factor_state,
-                _arr_bytes(layer.bias))
-    if isinstance(layer, Fc):
-        return ("fc", layer.name, _arr_bytes(layer.weights), _arr_bytes(layer.bias))
-    if isinstance(layer, DecomposedFc):
-        return ("decomposed_fc", layer.name, _arr_bytes(layer.factors.ud),
-                _arr_bytes(layer.factors.vt), _arr_bytes(layer.bias))
-    if isinstance(layer, ReLU):
-        return ("relu", layer.name)
-    if isinstance(layer, MaxPool):
-        return ("max_pool", layer.name, layer.window, layer.stride)
-    if isinstance(layer, Flatten):
-        return ("flatten", layer.name)
-    raise TypeError(f"unknown layer type {type(layer).__name__}")
+    entry, blobs = _layer_manifest(layer)
+    return entry, [blob.tobytes() for blob in blobs]
 
 
 def stage_count(net: NetworkSpec) -> int:
     """Number of computational stages: a factorized conv slot holds three,
     a factorized fc slot two, everything else one."""
-    total = 0
-    for layer in net.layers:
-        if isinstance(layer, DecomposedConv):
-            total += 3
-        elif isinstance(layer, DecomposedFc):
-            total += 2
-        else:
-            total += 1
-    return total
+    return sum(layer.stages for layer in net.layers)
 
 
 def forward(net: NetworkSpec, x, counter: MultiplyCounter | None = None) -> np.ndarray:
-    """Single-sample forward pass; `x` is an ndarray or DenseTensor matching
-    net.input_shape.  Returns the final activation as an ndarray."""
+    """Forward pass of one input, run as a batch of one; `x` is an ndarray or
+    DenseTensor matching net.input_shape.  Returns the final activation."""
     value = x.array if isinstance(x, DenseTensor) else np.asarray(x, dtype=np.float64)
     if value.shape != net.input_shape:
         raise ValueError(f"input shape {value.shape} != {net.input_shape}")
+    value = value[None]
     for layer in net.layers:
-        if isinstance(layer, Conv):
-            out = conv_ops.conv_forward(
-                DenseTensor.from_array(value),
-                DenseTensor.from_array(layer.weights),
-                layer.spec,
-                counter,
-            ).array
-            if layer.bias is not None:
-                out = out + layer.bias[:, None, None]
-            value = out
-        elif isinstance(layer, DecomposedConv):
-            out = conv_ops.conv_forward_decomposed(
-                DenseTensor.from_array(value), layer.factors, layer.spec, counter
-            ).array
-            if layer.bias is not None:
-                out = out + layer.bias[:, None, None]
-            value = out
-        elif isinstance(layer, Fc):
-            value = conv_ops.fc_forward(value, layer.weights, layer.bias, counter)
-        elif isinstance(layer, DecomposedFc):
-            hidden = conv_ops.fc_forward(value, layer.factors.vt, None, counter)
-            value = conv_ops.fc_forward(hidden, layer.factors.ud, layer.bias, counter)
-        elif isinstance(layer, ReLU):
-            value = np.maximum(value, 0.0)
-        elif isinstance(layer, MaxPool):
-            value = conv_ops.max_pool(
-                DenseTensor.from_array(value), layer.window, layer.stride
-            ).array
-        elif isinstance(layer, Flatten):
-            value = value.reshape(-1)
-        else:
-            raise TypeError(f"unknown layer type {type(layer).__name__}")
-    return value
+        value = layer.forward(layer.params(), value, None, counter)
+    return value[0]
 
 
 # ---------------------------------------------------------------------------
@@ -445,40 +642,6 @@ class CompressionReport:
         return "\n".join(lines)
 
 
-def _conv_mults(spec: ConvSpec, w: int, h: int) -> int:
-    wout = spec.output_extent(w)
-    hout = spec.output_extent(h)
-    s_g = spec.in_channels // spec.groups
-    return spec.out_channels * s_g * spec.kernel_size ** 2 * wout * hout
-
-
-def _decomposed_conv_counts(layer: DecomposedConv, w: int, h: int):
-    """(params, mults) of the three-stage form, measured and cross-checked."""
-    spec = layer.spec
-    wout = spec.output_extent(w)
-    hout = spec.output_extent(h)
-    s_g = spec.in_channels // spec.groups
-    t_g = spec.out_channels // spec.groups
-    d = spec.kernel_size
-    params = 0
-    mults = 0
-    for f in layer.factors:
-        measured = f.param_count
-        analytic = f.rank * s_g + f.rank * d * d + t_g * f.rank
-        if measured != analytic:
-            raise AssertionError(
-                f"{layer.name}: measured factor params {measured} != "
-                f"closed-form {analytic}"
-            )
-        params += measured
-        mults += (
-            f.rank * s_g * w * h
-            + f.rank * d * d * wout * hout
-            + t_g * f.rank * wout * hout
-        )
-    return params, mults
-
-
 def count_params(net: NetworkSpec) -> CompressionReport:
     """Exact integer weight and multiply accounting for every layer.
 
@@ -488,42 +651,13 @@ def count_params(net: NetworkSpec) -> CompressionReport:
     rows = []
     shape = net.input_shape
     for layer in net.layers:
-        in_shape = shape
-        shape = _propagate_shape(layer, shape)
-        if isinstance(layer, Conv):
-            params = layer.weights.size
-            if params != layer.spec.weight_count:
-                raise AssertionError(f"{layer.name}: weight count mismatch")
-            mults = _conv_mults(layer.spec, in_shape[1], in_shape[2])
-            row = LayerReport(layer.name, "conv", params, params, 1.0, mults, mults, 1.0)
-        elif isinstance(layer, DecomposedConv):
-            orig_params = layer.spec.weight_count
-            orig_mults = _conv_mults(layer.spec, in_shape[1], in_shape[2])
-            params, mults = _decomposed_conv_counts(layer, in_shape[1], in_shape[2])
-            row = LayerReport(
-                layer.name, "decomposed_conv", orig_params, params,
-                orig_params / params, orig_mults, mults, orig_mults / mults,
-            )
-        elif isinstance(layer, Fc):
-            params = layer.weights.size
-            row = LayerReport(layer.name, "fc", params, params, 1.0, params, params, 1.0)
-        elif isinstance(layer, DecomposedFc):
-            m, n, r = layer.out_features, layer.in_features, layer.rank
-            orig = m * n
-            measured = layer.factors.param_count
-            if measured != m * r + r * n:
-                raise AssertionError(
-                    f"{layer.name}: measured factor params {measured} != "
-                    f"closed-form {m * r + r * n}"
-                )
-            row = LayerReport(
-                layer.name, "decomposed_fc", orig, measured, orig / measured,
-                orig, measured, orig / measured,
-            )
-        else:
-            kind = type(layer).__name__.lower()
-            row = LayerReport(layer.name, kind, 0, 0, 1.0, 0, 0, 1.0)
-        rows.append(row)
+        orig_params, params, orig_mults, mults = layer.counts(shape)
+        shape = layer.out_shape(shape)
+        rows.append(LayerReport(
+            layer.name, layer.report_kind, orig_params, params,
+            orig_params / params if params else 1.0,
+            orig_mults, mults, orig_mults / mults if mults else 1.0,
+        ))
 
     def total(field):
         return sum(getattr(r, field) for r in rows)
@@ -583,33 +717,24 @@ def replace_layer(net: NetworkSpec, layer_name: str, factors) -> NetworkSpec:
     Every other layer object is shared unchanged; the input network is not
     modified.  Replacing an already-decomposed or unknown layer is an error.
     """
-    found = False
-    new_layers = []
-    for layer in net.layers:
-        if layer.name != layer_name:
-            new_layers.append(layer)
-            continue
-        found = True
-        if isinstance(layer, Conv):
-            new_layers.append(
-                DecomposedConv(layer.name, layer.spec, factors, layer.bias)
-            )
-        elif isinstance(layer, Fc):
-            if not isinstance(factors, SvdFactors):
-                raise ValueError(f"{layer_name}: fc replacement needs SvdFactors")
-            if (
-                factors.out_features != layer.out_features
-                or factors.in_features != layer.in_features
-            ):
-                raise ValueError(f"{layer_name}: factor shape mismatch")
-            new_layers.append(DecomposedFc(layer.name, factors, layer.bias))
-        elif isinstance(layer, (DecomposedConv, DecomposedFc)):
-            raise ValueError(f"layer {layer_name!r} is already decomposed")
-        else:
-            raise ValueError(f"layer {layer_name!r} is not decomposable")
-    if not found:
-        raise ValueError(f"no layer named {layer_name!r}")
-    return NetworkSpec(net.input_shape, tuple(new_layers))
+    layer = net.layer(layer_name)
+    if isinstance(layer, Conv):
+        new = DecomposedConv(layer.name, layer.spec, factors, layer.bias)
+    elif isinstance(layer, Fc):
+        if not isinstance(factors, SvdFactors):
+            raise ValueError(f"{layer_name}: fc replacement needs SvdFactors")
+        if (
+            factors.out_features != layer.out_features
+            or factors.in_features != layer.in_features
+        ):
+            raise ValueError(f"{layer_name}: factor shape mismatch")
+        new = DecomposedFc(layer.name, factors, layer.bias)
+    elif isinstance(layer, (DecomposedConv, DecomposedFc)):
+        raise ValueError(f"layer {layer_name!r} is already decomposed")
+    else:
+        raise ValueError(f"layer {layer_name!r} is not decomposable")
+    layers = tuple(new if other is layer else other for other in net.layers)
+    return NetworkSpec(net.input_shape, layers)
 
 
 def decomposable_layers(net: NetworkSpec) -> list:
@@ -634,81 +759,14 @@ class ModelFormatError(ValueError):
 
 def _layer_manifest(layer):
     """(manifest dict, list of blob arrays) for one layer."""
-    blobs = []
-
-    def blob(tag, arr):
-        blobs.append(arr)
-        return {"tag": tag, "shape": list(arr.shape)}
-
-    if isinstance(layer, Conv):
-        entry = {
-            "name": layer.name,
-            "kind": "conv",
-            "out_channels": layer.spec.out_channels,
-            "in_channels": layer.spec.in_channels,
-            "kernel_size": layer.spec.kernel_size,
-            "stride": layer.spec.stride,
-            "padding": layer.spec.padding,
-            "groups": layer.spec.groups,
-            "blobs": [blob("weights", layer.weights)],
-        }
-        if layer.bias is not None:
-            entry["blobs"].append(blob("bias", layer.bias))
-    elif isinstance(layer, DecomposedConv):
-        entry = {
-            "name": layer.name,
-            "kind": "decomposed_conv",
-            "out_channels": layer.spec.out_channels,
-            "in_channels": layer.spec.in_channels,
-            "kernel_size": layer.spec.kernel_size,
-            "stride": layer.spec.stride,
-            "padding": layer.spec.padding,
-            "groups": layer.spec.groups,
-            "ranks": list(layer.ranks),
-            "blobs": [],
-        }
-        for gi, f in enumerate(layer.factors):
-            entry["blobs"].append(blob(f"u1.{gi}", f.u1))
-            entry["blobs"].append(blob(f"u2.{gi}", f.u2))
-            entry["blobs"].append(blob(f"u3.{gi}", f.u3))
-        if layer.bias is not None:
-            entry["blobs"].append(blob("bias", layer.bias))
-    elif isinstance(layer, Fc):
-        entry = {
-            "name": layer.name,
-            "kind": "fc",
-            "out_features": layer.out_features,
-            "in_features": layer.in_features,
-            "blobs": [blob("weights", layer.weights)],
-        }
-        if layer.bias is not None:
-            entry["blobs"].append(blob("bias", layer.bias))
-    elif isinstance(layer, DecomposedFc):
-        entry = {
-            "name": layer.name,
-            "kind": "decomposed_fc",
-            "out_features": layer.out_features,
-            "in_features": layer.in_features,
-            "rank": layer.rank,
-            "blobs": [blob("ud", layer.factors.ud), blob("vt", layer.factors.vt)],
-        }
-        if layer.bias is not None:
-            entry["blobs"].append(blob("bias", layer.bias))
-    elif isinstance(layer, ReLU):
-        entry = {"name": layer.name, "kind": "relu", "blobs": []}
-    elif isinstance(layer, MaxPool):
-        entry = {
-            "name": layer.name,
-            "kind": "max_pool",
-            "window": layer.window,
-            "stride": layer.stride,
-            "blobs": [],
-        }
-    elif isinstance(layer, Flatten):
-        entry = {"name": layer.name, "kind": "flatten", "blobs": []}
-    else:
-        raise TypeError(f"unknown layer type {type(layer).__name__}")
-    return entry, blobs
+    arrays = layer.params()
+    entry = {
+        "name": layer.name,
+        "kind": layer.kind,
+        **layer.fields(),
+        "blobs": [{"tag": tag, "shape": list(arr.shape)} for tag, arr in arrays.items()],
+    }
+    return entry, list(arrays.values())
 
 
 def save(net: NetworkSpec, path) -> None:
@@ -792,42 +850,16 @@ def _layer_from_manifest(entry, fh):
         arrays[tag] = _read_blob(fh, shape, tag)
 
     try:
-        if kind == "conv":
-            spec = ConvSpec(
-                entry["out_channels"], entry["in_channels"], entry["kernel_size"],
-                entry["stride"], entry["padding"], entry["groups"],
-            )
-            return Conv(name, spec, arrays["weights"], arrays.get("bias"))
-        if kind == "decomposed_conv":
-            spec = ConvSpec(
-                entry["out_channels"], entry["in_channels"], entry["kernel_size"],
-                entry["stride"], entry["padding"], entry["groups"],
-            )
-            factors = tuple(
-                CpFactors(arrays[f"u1.{gi}"], arrays[f"u2.{gi}"], arrays[f"u3.{gi}"])
-                for gi in range(spec.groups)
-            )
-            return DecomposedConv(name, spec, factors, arrays.get("bias"))
-        if kind == "fc":
-            return Fc(name, arrays["weights"], arrays.get("bias"))
-        if kind == "decomposed_fc":
-            return DecomposedFc(
-                name, SvdFactors(arrays["ud"], arrays["vt"]), arrays.get("bias")
-            )
-        if kind == "relu":
-            return ReLU(name)
-        if kind == "max_pool":
-            return MaxPool(name, entry["window"], entry["stride"])
-        if kind == "flatten":
-            return Flatten(name)
-    except ModelFormatError:
-        raise
+        cls = _KINDS[kind]
+    except (KeyError, TypeError):
+        raise ModelFormatError(
+            f"unknown layer kind {kind!r}; format version {_FORMAT_VERSION} "
+            f"knows {', '.join(_KINDS)}"
+        ) from None
+    try:
+        return cls.build(name, entry, arrays)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"inconsistent layer {name!r}: {exc}") from exc
-    raise ModelFormatError(
-        f"unknown layer kind {kind!r}; format version {_FORMAT_VERSION} "
-        "knows conv, decomposed_conv, fc, decomposed_fc, relu, max_pool, flatten"
-    )
 
 
 def load(path) -> NetworkSpec:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .tensor import _frozen
 
-__all__ = ["SvdFactors", "truncated_svd", "split_fc", "singular_values"]
+__all__ = ["SvdFactors", "truncated_svd", "singular_values"]
 
 _JACOBI_TOL = 1e-13
 _MAX_SWEEPS = 60
@@ -42,6 +42,8 @@ class SvdFactors:
                 f"rank mismatch: ud has {ud.shape[1]} columns, vt has "
                 f"{vt.shape[0]} rows"
             )
+        if ud.shape[1] < 1:
+            raise ValueError("rank must be >= 1")
         object.__setattr__(self, "ud", ud)
         object.__setattr__(self, "vt", vt)
 
@@ -189,8 +191,3 @@ def truncated_svd(w, rank: int) -> SvdFactors:
     ud = u[:, :rank] * s[:rank]
     return SvdFactors(ud, vt[:rank, :])
 
-
-def split_fc(w, rank: int):
-    """Split a weight matrix into the (M x R, R x N) two-layer pair."""
-    factors = truncated_svd(w, rank)
-    return factors.ud, factors.vt

@@ -1,23 +1,15 @@
-"""Dense N-way tensors and the small set of algebraic primitives built on them.
+"""Dense N-way tensors: immutable, 64-bit, row-major values.
 
-Everything downstream (kernel decomposition, convolution, training) moves
-data around as :class:`DenseTensor` values: immutable, 64-bit, row-major.
+Kernel decomposition and the single-input convolution functions take and
+return :class:`DenseTensor` values; layers keep their arrays read-only with
+:func:`_frozen`.
 """
 
-from dataclasses import dataclass
-from functools import reduce
 from math import prod
 
 import numpy as np
 
-__all__ = [
-    "DenseTensor",
-    "Rank1Term",
-    "outer_product",
-    "mode_contract",
-    "frobenius_norm",
-    "add_scaled",
-]
+__all__ = ["DenseTensor"]
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -116,70 +108,3 @@ class DenseTensor:
     def __repr__(self) -> str:
         return f"DenseTensor(shape={self.shape})"
 
-
-@dataclass(frozen=True)
-class Rank1Term:
-    """One rank-1 component: ``scale`` times the outer product of unit vectors."""
-
-    vectors: tuple
-    scale: float
-
-    def __post_init__(self):
-        vecs = tuple(_frozen(np.atleast_1d(v)) for v in self.vectors)
-        if len(vecs) < 2:
-            raise ValueError("a rank-1 term needs at least two mode vectors")
-        for v in vecs:
-            if v.ndim != 1 or v.size == 0:
-                raise ValueError("mode vectors must be non-empty 1-D")
-            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-                raise ValueError("mode vectors must have unit L2 norm")
-        object.__setattr__(self, "vectors", vecs)
-        object.__setattr__(self, "scale", float(self.scale))
-
-    def materialize(self) -> DenseTensor:
-        """Expand the term to a dense tensor."""
-        dense = self.scale * outer_product(self.vectors).array
-        return DenseTensor.from_array(dense)
-
-
-def outer_product(vectors) -> DenseTensor:
-    """Outer product of two or more vectors: result[i,j,...] = v1[i]*v2[j]*...
-
-    The result has one mode per vector, with extents given by their lengths.
-    """
-    vecs = [np.asarray(v, dtype=np.float64) for v in vectors]
-    if len(vecs) < 2:
-        raise ValueError("outer_product needs at least two vectors")
-    for v in vecs:
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("outer_product arguments must be non-empty vectors")
-    return DenseTensor.from_array(reduce(np.multiply.outer, vecs))
-
-
-def mode_contract(t: DenseTensor, mode: int, v) -> DenseTensor:
-    """Contract `t` with vector `v` along `mode`, dropping that axis.
-
-    result[..] = sum_k t[.., k, ..] * v[k], where k runs over `mode`.
-    """
-    if t.ndim < 2:
-        raise ValueError("mode_contract needs a tensor with at least two modes")
-    if not 0 <= mode < t.ndim:
-        raise ValueError(f"mode {mode} out of range for {t.ndim}-way tensor")
-    vec = np.asarray(v, dtype=np.float64)
-    if vec.ndim != 1 or vec.size != t.shape[mode]:
-        raise ValueError(
-            f"vector length {vec.size} does not match extent {t.shape[mode]}"
-        )
-    return DenseTensor.from_array(np.tensordot(t.array, vec, axes=([mode], [0])))
-
-
-def frobenius_norm(t: DenseTensor) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(t.array.reshape(-1)))
-
-
-def add_scaled(a: DenseTensor, b: DenseTensor, alpha: float) -> DenseTensor:
-    """Elementwise a + alpha * b; shapes must match exactly."""
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return DenseTensor.from_array(a.array + float(alpha) * b.array)

@@ -1,19 +1,17 @@
 """Reverse-mode gradients, SGD fine-tuning, and the compression schedules.
 
-The trainer keeps its own batched forward/backward implementations (one per
-layer kind) so a whole minibatch moves through each layer at once: the
-matrix products (dense convolutions over patch matrices, the 1x1 mixes of
-a factorized convolution, fully connected layers, and every weight
-gradient) are batched BLAS calls, and the windowed stages (the depthwise
-stage of a factorized convolution and max-pooling) are one whole-batch pass
-per kernel offset over strided views.  Gradients are exact reverse-mode
+A whole minibatch moves through each layer at once, through the batched
+forward and backward passes each layer kind defines (``network.py``) on top
+of the array kernels in ``conv.py``.  Gradients are exact reverse-mode
 derivatives for every trainable tensor, including all three factor tensors
 of a factorized convolution and both matrices of a factorized fully
 connected layer.
 
-The per-layer states hold the network's own read-only parameter arrays;
-an SGD step replaces an array with a new one instead of writing into it,
-so training never copies or mutates its input network.
+The trainer holds one dict of named parameter arrays per layer, as the
+layer's ``params()`` returns them: at first the network's own read-only
+arrays.  An SGD step replaces an array with a new one instead of writing
+into it, so training never copies or mutates its input network, and
+``with_params`` turns the trained dicts back into layers.
 
 Two schedules are provided.  ``iterative_compress`` factorizes one layer,
 fine-tunes the whole network (nothing is frozen), then moves to the next
@@ -25,24 +23,9 @@ the iterative schedule is measured against.
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Dataset
-from .network import (
-    Conv,
-    DecomposedConv,
-    DecomposedFc,
-    Fc,
-    Flatten,
-    MaxPool,
-    NetworkSpec,
-    ReLU,
-    decompose_layer,
-    decomposable_layers,
-    replace_layer,
-)
-from .cp import CpFactors
-from .svd import SvdFactors
+from .network import NetworkSpec, decompose_layer, decomposable_layers, replace_layer
 
 __all__ = [
     "TrainConfig",
@@ -193,414 +176,36 @@ def mean_squared_error(outputs: np.ndarray, targets: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# batched per-layer forward/backward
+# whole-network passes over per-layer parameter dicts
 # ---------------------------------------------------------------------------
 
 
-def _batch_patches(xpad: np.ndarray, d: int, stride: int, wout: int, hout: int):
-    """(B, C, Wp, Hp) -> (B, C*d*d, wout*hout) patch matrices."""
-    win = sliding_window_view(xpad, (d, d), axis=(2, 3))[:, :, ::stride, ::stride]
-    win = win[:, :, :wout, :hout]
-    b, c = xpad.shape[:2]
-    return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * d * d, wout * hout)
+def _params(net: NetworkSpec) -> list:
+    """One dict of named parameter arrays per layer (the layers' own arrays)."""
+    return [layer.params() for layer in net.layers]
 
 
-def _spatial(x: np.ndarray, rows: slice, cols: slice, axis: int):
-    """x indexed by rows and cols on spatial axes (axis, axis + 1)."""
-    index = [slice(None)] * x.ndim
-    index[axis], index[axis + 1] = rows, cols
-    return x[tuple(index)]
-
-
-def _pad_batch(x: np.ndarray, p: int, axis: int = 2) -> np.ndarray:
-    """Zero-pad spatial axes (axis, axis + 1) by p on each side."""
-    if p == 0:
-        return x
-    shape = list(x.shape)
-    shape[axis] += 2 * p
-    shape[axis + 1] += 2 * p
-    out = np.zeros(shape)
-    _spatial(out, slice(p, -p), slice(p, -p), axis)[...] = x
-    return out
-
-
-def _unpad_batch(x: np.ndarray, p: int, axis: int = 2) -> np.ndarray:
-    if p == 0:
-        return x
-    return _spatial(x, slice(p, -p), slice(p, -p), axis)
-
-
-def _offsets(d: int) -> list:
-    """Kernel offsets (j, i) of a d x d window in row-major order."""
-    return [(j, i) for j in range(d) for i in range(d)]
-
-
-def _strided(x: np.ndarray, j: int, i: int, stride: int, wout: int, hout: int,
-             axis: int = 2):
-    """The (wout, hout) view of spatial axes (axis, axis + 1) of x that kernel
-    offset (j, i) reads for each output position."""
-    return _spatial(
-        x, slice(j, j + stride * wout, stride), slice(i, i + stride * hout, stride),
-        axis,
-    )
-
-
-def _scatter_cols(dcols, shape, d, stride, p, wout, hout):
-    """Adjoint of _batch_patches: accumulate patch gradients back onto the
-    (unpadded) input.  Summation order is fixed: kernel offsets in row-major
-    order."""
-    b, c, w, h = shape
-    dxpad = np.zeros((b, c, w + 2 * p, h + 2 * p))
-    dcols = dcols.reshape(b, c, d, d, wout, hout)
-    for j, i in _offsets(d):
-        view = _strided(dxpad, j, i, stride, wout, hout)
-        view += dcols[:, :, j, i]
-    return _unpad_batch(dxpad, p)
-
-
-class _ConvState:
-    def __init__(self, layer: Conv):
-        self.name = layer.name
-        self.spec = layer.spec
-        self.params = {"weights": layer.weights}
-        if layer.bias is not None:
-            self.params["bias"] = layer.bias
-
-    def forward(self, x, cache):
-        spec = self.spec
-        b = x.shape[0]
-        w, h = x.shape[2], x.shape[3]
-        wout, hout = spec.output_extent(w), spec.output_extent(h)
-        g = spec.groups
-        s_g = spec.in_channels // g
-        t_g = spec.out_channels // g
-        xpad = _pad_batch(x, spec.padding)
-        outs = []
-        cols_all = []
-        for gi in range(g):
-            cols = _batch_patches(
-                xpad[:, gi * s_g : (gi + 1) * s_g], spec.kernel_size, spec.stride,
-                wout, hout,
-            )
-            kmat = self.params["weights"][gi * t_g : (gi + 1) * t_g].reshape(t_g, -1)
-            outs.append(np.matmul(kmat, cols).reshape(b, t_g, wout, hout))
-            cols_all.append(cols)
-        out = np.concatenate(outs, axis=1)
-        if "bias" in self.params:
-            out = out + self.params["bias"][None, :, None, None]
-        if cache is not None:
-            cache["cols"] = cols_all
-            cache["x_shape"] = x.shape
-            cache["out_hw"] = (wout, hout)
-        return out
-
-    def backward(self, dy, cache, grads):
-        spec = self.spec
-        g = spec.groups
-        s_g = spec.in_channels // g
-        t_g = spec.out_channels // g
-        d = spec.kernel_size
-        b, _, wout, hout = dy.shape
-        dw = np.empty_like(self.params["weights"])
-        dx_groups = []
-        for gi in range(g):
-            dy_g = dy[:, gi * t_g : (gi + 1) * t_g].reshape(b, t_g, wout * hout)
-            cols = cache["cols"][gi]
-            dw[gi * t_g : (gi + 1) * t_g] = (
-                np.matmul(dy_g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(t_g, s_g, d, d)
-            )
-            kmat = self.params["weights"][gi * t_g : (gi + 1) * t_g].reshape(t_g, -1)
-            dcols = np.matmul(kmat.T, dy_g)
-            bshape = (b, s_g) + cache["x_shape"][2:]
-            dx_groups.append(
-                _scatter_cols(dcols, bshape, d, spec.stride, spec.padding, wout, hout)
-            )
-        grads["weights"] = dw
-        if "bias" in self.params:
-            grads["bias"] = dy.sum(axis=(0, 2, 3))
-        return np.concatenate(dx_groups, axis=1)
-
-
-class _DecomposedConvState:
-    """1x1 mix (u1) -> depthwise D x D filter (u2) -> 1x1 mix (u3), per group.
-
-    Between the two mixes the activations are kept channels-last,
-    (B, W, H, R), so that the depthwise stage and its adjoint run as D^2
-    shift-and-accumulate passes (kernel offsets in row-major order) over
-    strided views of the padded intermediate with long contiguous inner
-    loops.  The mixes and their weight gradients are batched matmuls that
-    read the channels-first neighbours through transposed views."""
-
-    def __init__(self, layer: DecomposedConv):
-        self.name = layer.name
-        self.spec = layer.spec
-        self.params = {}
-        for gi, f in enumerate(layer.factors):
-            self.params[f"u1.{gi}"] = f.u1
-            self.params[f"u2.{gi}"] = f.u2
-            self.params[f"u3.{gi}"] = f.u3
-        if layer.bias is not None:
-            self.params["bias"] = layer.bias
-        self.groups = layer.spec.groups
-
-    def _factors(self, gi):
-        return (self.params[f"u1.{gi}"], self.params[f"u2.{gi}"],
-                self.params[f"u3.{gi}"])
-
-    def forward(self, x, cache):
-        spec = self.spec
-        b, _, w, h = x.shape
-        wout, hout = spec.output_extent(w), spec.output_extent(h)
-        s_g = spec.in_channels // spec.groups
-        d, st, p = spec.kernel_size, spec.stride, spec.padding
-        outs = []
-        saved = []
-        for gi in range(self.groups):
-            u1, u2, u3 = self._factors(gi)
-            r = u2.shape[0]
-            xg = x[:, gi * s_g : (gi + 1) * s_g].reshape(b, s_g, w * h)
-            z = np.matmul(xg.transpose(0, 2, 1), u1.T).reshape(b, w, h, r)
-            zpad = _pad_batch(z, p, axis=1)
-            # Each offset's filter taps, tiled along H so that a stride-1 view
-            # and its taps share one contiguous (H, R) inner loop.
-            taps = np.empty(u2.shape[1:] + (hout, r))
-            taps[...] = u2.transpose(1, 2, 0)[:, :, None, :]
-            z2 = _strided(zpad, 0, 0, st, wout, hout, axis=1) * taps[0, 0]
-            term = np.empty_like(z2)
-            for j, i in _offsets(d)[1:]:
-                z2 += np.multiply(
-                    _strided(zpad, j, i, st, wout, hout, axis=1), taps[j, i], out=term
-                )
-            z2 = z2.reshape(b, wout * hout, r)
-            outs.append(
-                np.matmul(u3, z2.transpose(0, 2, 1)).reshape(b, -1, wout, hout)
-            )
-            if cache is not None:
-                saved.append({"xg": xg, "zpad": zpad, "taps": taps, "z2": z2})
-        out = np.concatenate(outs, axis=1)
-        if "bias" in self.params:
-            out = out + self.params["bias"][None, :, None, None]
-        if cache is not None:
-            cache["groups"] = saved
-            cache["hw"] = (w, h)
-        return out
-
-    def backward(self, dy, cache, grads):
-        spec = self.spec
-        t_g = spec.out_channels // spec.groups
-        s_g = spec.in_channels // spec.groups
-        d, st, p = spec.kernel_size, spec.stride, spec.padding
-        b, _, wout, hout = dy.shape
-        w, h = cache["hw"]
-        dx_groups = []
-        for gi in range(self.groups):
-            u1, u2, u3 = self._factors(gi)
-            r = u2.shape[0]
-            saved = cache["groups"][gi]
-            dy_g = dy[:, gi * t_g : (gi + 1) * t_g].reshape(b, t_g, wout * hout)
-            grads[f"u3.{gi}"] = np.matmul(dy_g, saved["z2"]).sum(axis=0)
-            dz2 = np.matmul(dy_g.transpose(0, 2, 1), u3).reshape(b, wout, hout, r)
-
-            zpad, taps = saved["zpad"], saved["taps"]
-            du2 = np.empty_like(u2)
-            dzpad = np.zeros(zpad.shape)
-            term = np.empty_like(dz2)
-            rows = term.reshape(b * wout, hout * r)
-            for j, i in _offsets(d):
-                np.multiply(_strided(zpad, j, i, st, wout, hout, axis=1), dz2, out=term)
-                du2[:, j, i] = rows.sum(axis=0).reshape(hout, r).sum(axis=0)
-                view = _strided(dzpad, j, i, st, wout, hout, axis=1)
-                view += np.multiply(dz2, taps[j, i], out=term)
-            grads[f"u2.{gi}"] = du2
-            dz = _unpad_batch(dzpad, p, axis=1).reshape(b, w * h, r).transpose(0, 2, 1)
-
-            grads[f"u1.{gi}"] = np.matmul(dz, saved["xg"].transpose(0, 2, 1)).sum(axis=0)
-            dx_groups.append(np.matmul(u1.T, dz).reshape(b, s_g, w, h))
-        if "bias" in self.params:
-            grads["bias"] = dy.sum(axis=(0, 2, 3))
-        return np.concatenate(dx_groups, axis=1)
-
-
-class _FcState:
-    def __init__(self, layer: Fc):
-        self.name = layer.name
-        self.params = {"weights": layer.weights}
-        if layer.bias is not None:
-            self.params["bias"] = layer.bias
-
-    def forward(self, x, cache):
-        out = x @ self.params["weights"].T
-        if "bias" in self.params:
-            out = out + self.params["bias"]
-        if cache is not None:
-            cache["x"] = x
-        return out
-
-    def backward(self, dy, cache, grads):
-        grads["weights"] = dy.T @ cache["x"]
-        if "bias" in self.params:
-            grads["bias"] = dy.sum(axis=0)
-        return dy @ self.params["weights"]
-
-
-class _DecomposedFcState:
-    def __init__(self, layer: DecomposedFc):
-        self.name = layer.name
-        self.params = {"ud": layer.factors.ud, "vt": layer.factors.vt}
-        if layer.bias is not None:
-            self.params["bias"] = layer.bias
-
-    def forward(self, x, cache):
-        hidden = x @ self.params["vt"].T
-        out = hidden @ self.params["ud"].T
-        if "bias" in self.params:
-            out = out + self.params["bias"]
-        if cache is not None:
-            cache["x"] = x
-            cache["hidden"] = hidden
-        return out
-
-    def backward(self, dy, cache, grads):
-        grads["ud"] = dy.T @ cache["hidden"]
-        dhidden = dy @ self.params["ud"]
-        grads["vt"] = dhidden.T @ cache["x"]
-        if "bias" in self.params:
-            grads["bias"] = dy.sum(axis=0)
-        return dhidden @ self.params["vt"]
-
-
-class _ReLUState:
-    def __init__(self, layer: ReLU):
-        self.name = layer.name
-        self.params = {}
-
-    def forward(self, x, cache):
-        if cache is not None:
-            cache["mask"] = x > 0.0
-        return np.maximum(x, 0.0)
-
-    def backward(self, dy, cache, grads):
-        return dy * cache["mask"]
-
-
-class _MaxPoolState:
-    """Max over k x k windows, taken over the k^2 strided views of the input.
-
-    The backward pass routes each window's gradient to its first maximum in
-    row-major window order (the rule ``argmax`` uses); positions shared by
-    overlapping windows sum their gradients."""
-
-    def __init__(self, layer: MaxPool):
-        self.name = layer.name
-        self.window = layer.window
-        self.stride = layer.stride
-        self.params = {}
-
-    def forward(self, x, cache):
-        k, s = self.window, self.stride
-        wout = (x.shape[2] - k) // s + 1
-        hout = (x.shape[3] - k) // s + 1
-        views = [_strided(x, j, i, s, wout, hout) for j, i in _offsets(k)]
-        out = views[0].copy()
-        idx = None if cache is None else np.zeros(out.shape, np.min_scalar_type(k * k - 1))
-        for n, view in enumerate(views[1:], start=1):
-            if idx is not None:
-                np.copyto(idx, n, where=view > out)
-            np.maximum(out, view, out=out)
-        if cache is not None:
-            cache["idx"] = idx
-            cache["x_shape"] = x.shape
-        return out
-
-    def backward(self, dy, cache, grads):
-        k, s = self.window, self.stride
-        idx = cache["idx"]
-        wout, hout = idx.shape[2:]
-        dx = np.zeros(cache["x_shape"])
-        routed = np.empty_like(dy)
-        for n, (j, i) in enumerate(_offsets(k)):
-            np.multiply(dy, idx == n, out=routed)
-            view = _strided(dx, j, i, s, wout, hout)
-            view += routed
-        return dx
-
-
-class _FlattenState:
-    def __init__(self, layer: Flatten):
-        self.name = layer.name
-        self.params = {}
-
-    def forward(self, x, cache):
-        if cache is not None:
-            cache["shape"] = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dy, cache, grads):
-        return dy.reshape(cache["shape"])
-
-
-_STATE_TYPES = {
-    Conv: _ConvState,
-    DecomposedConv: _DecomposedConvState,
-    Fc: _FcState,
-    DecomposedFc: _DecomposedFcState,
-    ReLU: _ReLUState,
-    MaxPool: _MaxPoolState,
-    Flatten: _FlattenState,
-}
-
-
-def _build_states(net: NetworkSpec) -> list:
-    """Per-layer states referencing the layers' arrays (no copies)."""
-    return [_STATE_TYPES[type(layer)](layer) for layer in net.layers]
-
-
-def _export_states(net: NetworkSpec, states: list) -> NetworkSpec:
-    """Rebuild an immutable NetworkSpec from trained parameter arrays."""
-    layers = []
-    for layer, state in zip(net.layers, states):
-        p = state.params
-        if isinstance(layer, Conv):
-            layers.append(Conv(layer.name, layer.spec, p["weights"], p.get("bias")))
-        elif isinstance(layer, DecomposedConv):
-            factors = tuple(
-                CpFactors(p[f"u1.{gi}"], p[f"u2.{gi}"], p[f"u3.{gi}"])
-                for gi in range(layer.spec.groups)
-            )
-            layers.append(
-                DecomposedConv(layer.name, layer.spec, factors, p.get("bias"))
-            )
-        elif isinstance(layer, Fc):
-            layers.append(Fc(layer.name, p["weights"], p.get("bias")))
-        elif isinstance(layer, DecomposedFc):
-            layers.append(
-                DecomposedFc(layer.name, SvdFactors(p["ud"], p["vt"]), p.get("bias"))
-            )
-        else:
-            layers.append(layer)
-    return NetworkSpec(net.input_shape, tuple(layers))
-
-
-def _forward_states(states, x, with_cache: bool):
+def _forward(net: NetworkSpec, params: list, x, with_cache: bool):
     caches = []
     value = x
-    for state in states:
+    for layer, p in zip(net.layers, params):
         cache = {} if with_cache else None
-        value = state.forward(value, cache)
+        value = layer.forward(p, value, cache)
         caches.append(cache)
     if not np.all(np.isfinite(value)):
         raise DivergedError("non-finite activations in forward pass")
     return value, caches
 
 
-def _backward_states(states, caches, dout):
-    grads_per_state = []
+def _backward(net: NetworkSpec, params: list, caches, dout) -> list:
+    """Per-layer gradient dicts, in network order."""
+    grads = []
     dvalue = dout
-    for state, cache in zip(reversed(states), reversed(caches)):
-        grads = {}
-        dvalue = state.backward(dvalue, cache, grads)
-        grads_per_state.append(grads)
-    return list(reversed(grads_per_state))
+    for layer, p, cache in zip(reversed(net.layers), reversed(params), reversed(caches)):
+        layer_grads = {}
+        dvalue = layer.backward(p, dvalue, cache, layer_grads)
+        grads.append(layer_grads)
+    return grads[::-1]
 
 
 def _as_batch(inputs: np.ndarray, input_shape) -> np.ndarray:
@@ -612,15 +217,14 @@ def _as_batch(inputs: np.ndarray, input_shape) -> np.ndarray:
 
 def batch_outputs(net: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
     """Forward a whole (B, ...) batch; returns the (B, K) outputs."""
-    states = _build_states(net)
-    out, _ = _forward_states(states, _as_batch(inputs, net.input_shape), False)
+    out, _ = _forward(net, _params(net), _as_batch(inputs, net.input_shape), False)
     return out
 
 
-def _chunked_outputs(states, inputs: np.ndarray, chunk: int = 512) -> np.ndarray:
+def _chunked_outputs(net, params, inputs: np.ndarray, chunk: int = 512) -> np.ndarray:
     parts = []
     for start in range(0, inputs.shape[0], chunk):
-        out, _ = _forward_states(states, inputs[start : start + chunk], False)
+        out, _ = _forward(net, params, inputs[start : start + chunk], False)
         parts.append(out)
     return np.concatenate(parts, axis=0)
 
@@ -631,29 +235,27 @@ def backward(net: NetworkSpec, inputs, targets, loss_fn=softmax_cross_entropy) -
     Returns {(layer_name, param_name): gradient array}.  The default loss
     is softmax cross-entropy against integer labels.
     """
-    states = _build_states(net)
-    out, caches = _forward_states(states, _as_batch(inputs, net.input_shape), True)
+    params = _params(net)
+    out, caches = _forward(net, params, _as_batch(inputs, net.input_shape), True)
     loss, dout = loss_fn(out, targets)
     if not np.isfinite(loss):
         raise DivergedError(f"non-finite loss {loss}")
-    per_state = _backward_states(states, caches, dout)
     flat = {}
-    for state, grads in zip(states, per_state):
+    for layer, grads in zip(net.layers, _backward(net, params, caches, dout)):
         for key, grad in grads.items():
-            flat[(state.name, key)] = grad
+            flat[(layer.name, key)] = grad
     return flat
 
 
 def evaluate(net: NetworkSpec, inputs, labels) -> tuple:
     """(mean cross-entropy, accuracy) over a labeled set."""
-    states = _build_states(net)
-    logits = _chunked_outputs(states, _as_batch(inputs, net.input_shape))
+    logits = _chunked_outputs(net, _params(net), _as_batch(inputs, net.input_shape))
     loss, _ = softmax_cross_entropy(logits, labels)
     accuracy = float((logits.argmax(axis=1) == labels).mean())
     return loss, accuracy
 
 
-def _run_sgd(states, data: Dataset, cfg: TrainConfig, epochs: int):
+def _run_sgd(net, params, data: Dataset, cfg: TrainConfig, epochs: int):
     rng = np.random.default_rng(cfg.seed)
     n = data.train_x.shape[0]
     history = []
@@ -665,18 +267,18 @@ def _run_sgd(states, data: Dataset, cfg: TrainConfig, epochs: int):
             batch = order[start : start + cfg.batch_size]
             xb = data.train_x[batch]
             yb = data.train_y[batch]
-            out, caches = _forward_states(states, xb, True)
+            out, caches = _forward(net, params, xb, True)
             loss, dout = softmax_cross_entropy(out, yb)
             if not np.isfinite(loss):
                 raise DivergedError(f"non-finite loss at epoch {epoch}", history)
             loss_sum += loss * batch.size
             hit_sum += int((out.argmax(axis=1) == yb).sum())
-            per_state = _backward_states(states, caches, dout)
-            for state, grads in zip(states, per_state):
-                rate = cfg.rate_for(state.name, epoch)
+            per_layer = _backward(net, params, caches, dout)
+            for layer, p, grads in zip(net.layers, params, per_layer):
+                rate = cfg.rate_for(layer.name, epoch)
                 for key, grad in grads.items():
-                    state.params[key] = state.params[key] - rate * grad
-        test_logits = _chunked_outputs(states, data.test_x)
+                    p[key] = p[key] - rate * grad
+        test_logits = _chunked_outputs(net, params, data.test_x)
         test_loss, _ = softmax_cross_entropy(test_logits, data.test_y)
         test_acc = float((test_logits.argmax(axis=1) == data.test_y).mean())
         history.append(
@@ -695,10 +297,11 @@ def finetune(net: NetworkSpec, data: Dataset, cfg: TrainConfig, epochs: int | No
     (trained network, per-epoch stats).  Raises :class:`DivergedError`,
     with the stats so far attached, if the loss stops being finite.
     """
-    states = _build_states(net)
+    params = _params(net)
     n_epochs = cfg.epochs_per_stage if epochs is None else int(epochs)
-    history = _run_sgd(states, data, cfg, n_epochs)
-    return _export_states(net, states), history
+    history = _run_sgd(net, params, data, cfg, n_epochs)
+    layers = tuple(layer.with_params(p) for layer, p in zip(net.layers, params))
+    return NetworkSpec(net.input_shape, layers), history
 
 
 def _stage_seed(base: int, index: int) -> int:

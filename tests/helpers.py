@@ -60,6 +60,44 @@ def naive_conv(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) -> np.n
     return out
 
 
+def naive_fc(x: np.ndarray, weights: np.ndarray, bias) -> np.ndarray:
+    """Reference fully connected map as plain loops: weights[m, n] connects
+    input n to output m."""
+    m, n = weights.shape
+    out = np.zeros(m)
+    for mi in range(m):
+        acc = 0.0 if bias is None else bias[mi]
+        for ni in range(n):
+            acc += weights[mi, ni] * x[ni]
+        out[mi] = acc
+    return out
+
+
+def naive_max_pool(x: np.ndarray, k: int, s: int, dy=None):
+    """Reference max-pool of a (B, C, W, H) batch, one window at a time.
+
+    Returns (output, input gradient); given output gradients dy, each
+    window's gradient goes to its first maximum in row-major order."""
+    b, c, w, h = x.shape
+    wout, hout = (w - k) // s + 1, (h - k) // s + 1
+    out = np.zeros((b, c, wout, hout))
+    dx = np.zeros_like(x)
+    for n in range(b):
+        for ch in range(c):
+            for wo in range(wout):
+                for ho in range(hout):
+                    window = x[n, ch, wo * s : wo * s + k, ho * s : ho * s + k]
+                    best = 0
+                    for pos in range(1, k * k):
+                        if window.flat[pos] > window.flat[best]:
+                            best = pos
+                    j, i = divmod(best, k)
+                    out[n, ch, wo, ho] = window[j, i]
+                    if dy is not None:
+                        dx[n, ch, wo * s + j, ho * s + i] += dy[n, ch, wo, ho]
+    return out, dx
+
+
 def gram_singular_values(w: np.ndarray) -> np.ndarray:
     """Independent oracle: singular values via the Gram matrix eigenproblem."""
     m, n = w.shape

@@ -95,6 +95,13 @@ class TestDecompose:
         capsys.readouterr()
         assert code == EXIT_ARGS
 
+    def test_zero_rank_for_preset_is_an_argument_error(self, tmp_path, capsys):
+        ranks = tmp_path / "ranks.tsv"
+        ranks.write_text("conv3\t0\n")
+        code = main(["decompose", "--arch", "alexnet", "--ranks-file", str(ranks)])
+        assert code == EXIT_ARGS
+        assert _one_line_error(capsys).startswith("error: invalid ranks")
+
     def test_unknown_layer_in_ranks_file(self, toy_model_path, tmp_path, capsys):
         ranks = tmp_path / "ranks.tsv"
         ranks.write_text("layer\trank\nmystery\t4\n")

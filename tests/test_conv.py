@@ -10,9 +10,9 @@ from cpcompress.conv import (
     conv_forward_decomposed,
     fc_forward,
     max_pool,
-    relu,
 )
 from cpcompress.cp import CpFactors, reconstruct
+from cpcompress.network import ReLU
 from cpcompress.tensor import DenseTensor
 
 from helpers import naive_conv
@@ -233,8 +233,8 @@ class TestFcForward:
 
 class TestActivationsAndPooling:
     def test_relu(self):
-        out = relu(DenseTensor.from_array([[-1.0, 2.0]]))
-        assert out.array.tolist() == [[0.0, 2.0]]
+        out = ReLU("relu").forward({}, np.array([[-1.0, 2.0]]))
+        assert out.tolist() == [[0.0, 2.0]]
 
     def test_max_pool_2x2(self):
         x = DenseTensor.from_array([[[1.0, 2.0], [3.0, 4.0]]])

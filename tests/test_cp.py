@@ -38,9 +38,10 @@ class TestFitRank1:
         target = DenseTensor.from_array(
             2.0 * np.einsum("i,j,k->ijk", [1.0, 0.0], [0.0, 1.0], [1.0, 0.0])
         )
-        term = fit_rank1(target, TpmConfig(rank=1, seed=3, **PRECISE))
-        assert term.scale == pytest.approx(2.0, abs=1e-10)
-        np.testing.assert_allclose(term.materialize().array, target.array, atol=1e-10)
+        a, b, c, scale = fit_rank1(target, TpmConfig(rank=1, seed=3, **PRECISE))
+        assert scale == pytest.approx(2.0, abs=1e-10)
+        rebuilt = scale * np.einsum("i,j,k->ijk", a, b, c)
+        np.testing.assert_allclose(rebuilt, target.array, atol=1e-10)
 
     def test_noisy_rank1_scale(self):
         rng = np.random.default_rng(11)
@@ -49,14 +50,14 @@ class TestFitRank1:
         c = rng.standard_normal(3)
         clean = np.einsum("i,j,k->ijk", a, b, c)
         noisy = clean + 1e-9 * rng.standard_normal(clean.shape)
-        term = fit_rank1(DenseTensor.from_array(noisy), TpmConfig(rank=1, seed=0, **PRECISE))
+        *_, scale = fit_rank1(DenseTensor.from_array(noisy), TpmConfig(rank=1, seed=0, **PRECISE))
         expected = np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(c)
-        assert term.scale == pytest.approx(expected, abs=1e-6)
+        assert scale == pytest.approx(expected, abs=1e-6)
 
     def test_zero_target_gives_zero_scale(self):
-        term = fit_rank1(DenseTensor.zeros((2, 3, 4)), TpmConfig(rank=1))
-        assert term.scale == 0.0
-        for v in term.vectors:
+        *vectors, scale = fit_rank1(DenseTensor.zeros((2, 3, 4)), TpmConfig(rank=1))
+        assert scale == 0.0
+        for v in vectors:
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_nan_rejected(self):

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpcompress.network import ModelFormatError, NetworkSpec, load, save
+from cpcompress.network import DecomposedFc, ModelFormatError, NetworkSpec, load, save
+from cpcompress.svd import SvdFactors
 from cpcompress.verify import random_network
 
 _MAX_BLOB_VALUES = 4096
@@ -204,3 +205,19 @@ class TestHostileManifests:
         path.write_bytes(header + b"%d %08x\n" % (len(raw), zlib.crc32(raw)) + raw + b"\n")
         with pytest.raises(ModelFormatError):
             load(path)
+
+    def test_rank_zero_factors_raise_format_error(self, tmp_path):
+        # Empty factor matrices fit their declared shapes and checksums, but
+        # a factorized layer of rank 0 is not a layer.
+        factors = SvdFactors(np.ones((3, 1)), np.ones((1, 4)))
+        good = tmp_path / "good.cpnet"
+        save(NetworkSpec((4,), (DecomposedFc("head", factors),)), good)
+        header, manifest, payloads = _parts(good.read_bytes())
+        entry = manifest["layers"][0]
+        entry["rank"] = 0
+        entry["blobs"][0]["shape"] = [3, 0]
+        entry["blobs"][1]["shape"] = [0, 4]
+        bad = tmp_path / "bad.cpnet"
+        _assemble(header, manifest, payloads, bad)
+        with pytest.raises(ModelFormatError):
+            load(bad)

@@ -1,5 +1,7 @@
 """Network model: ratios, counting, replacement, forward, serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from cpcompress.network import (
     save,
     stage_count,
 )
-from cpcompress.verify import corruption_suite, roundtrip_suite
+from cpcompress.verify import corruption_suite, random_network, roundtrip_suite
 
 from helpers import separated_cp_kernel
 
@@ -270,7 +272,24 @@ class TestNetworkSpecValidation:
             NetworkSpec((3, 8, 8), (Fc("fc", np.zeros((4, 192)), None),))
 
 
+# sha256 of save(random_network(default_rng(seed))).  Different bytes mean a
+# different file format, which needs a new format version.  Seeds 0-3 hold
+# every layer kind, with and without biases.
+_PINNED_DIGESTS = {
+    0: "acc23ef2ca77d4f3b0759bd55930a406927fdccc521e39182e0a2dbe7fb00c0b",
+    1: "23f17c2471c05edf233d483c48de99aae33c13fbc1ad4250b55514b52552ddd6",
+    2: "6b9eb63f84d664b607d887ee357026af1ddebf2263ec9b96912ce5872b888efb",
+    3: "313610f6b3d2c6cbbf39759995f87a740ef456199d96f92710df8c9a98fc00f4",
+}
+
+
 class TestSerialization:
+    @pytest.mark.parametrize("seed", sorted(_PINNED_DIGESTS))
+    def test_file_bytes_are_pinned(self, seed, tmp_path):
+        path = tmp_path / "model.cpnet"
+        save(random_network(np.random.default_rng(seed)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _PINNED_DIGESTS[seed]
+
     def test_roundtrips_bit_identical(self):
         failures = roundtrip_suite(trips=20, seed=0)
         assert failures == []

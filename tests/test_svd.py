@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpcompress import svd
-from cpcompress.svd import SvdFactors, singular_values, split_fc, truncated_svd
+from cpcompress.svd import SvdFactors, singular_values, truncated_svd
 
 from helpers import gram_singular_values
 
@@ -185,7 +185,8 @@ class TestSplitFc:
     def test_two_layer_application_matches_truncated_matrix(self):
         rng = np.random.default_rng(5)
         w = rng.standard_normal((12, 9))
-        ud, vt = split_fc(w, 4)
+        factors = truncated_svd(w, 4)
+        ud, vt = factors.ud, factors.vt
         truncated = ud @ vt
         for _ in range(10):
             x = rng.standard_normal(9)
@@ -196,8 +197,8 @@ class TestSplitFc:
             )
 
     def test_identity_roundtrip(self):
-        ud, vt = split_fc(np.eye(4), 4)
-        np.testing.assert_allclose(ud @ vt, np.eye(4), atol=1e-10)
+        factors = truncated_svd(np.eye(4), 4)
+        np.testing.assert_allclose(factors.ud @ factors.vt, np.eye(4), atol=1e-10)
 
     def test_parameter_arithmetic_square(self):
         factors = SvdFactors(np.zeros((1000, 100)), np.zeros((100, 1000)))

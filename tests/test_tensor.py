@@ -1,17 +1,9 @@
-"""Dense tensor primitives: examples, error contracts, algebraic identities."""
+"""Dense tensor values: construction, immutability and bitwise equality."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from cpcompress.tensor import (
-    DenseTensor,
-    Rank1Term,
-    add_scaled,
-    frobenius_norm,
-    mode_contract,
-    outer_product,
-)
+from cpcompress.tensor import DenseTensor
 
 
 class TestDenseTensor:
@@ -54,138 +46,3 @@ class TestDenseTensor:
         assert a == b
         assert a == c  # 2.0 + 1e-16 rounds to 2.0 in float64
 
-
-class TestOuterProduct:
-    def test_two_by_two(self):
-        t = outer_product(([1, 2], [3, 4]))
-        assert t.array.tolist() == [[3.0, 4.0], [6.0, 8.0]]
-
-    def test_all_singleton(self):
-        t = outer_product(([1], [1], [1]))
-        assert t.shape == (1, 1, 1)
-        assert t[0, 0, 0] == 1.0
-
-    def test_selector_vectors(self):
-        # Hand enumeration: only entries [0, 1, :] survive.
-        t = outer_product(([1, 0], [0, 1], [2, 2]))
-        expected = np.zeros((2, 2, 2))
-        expected[0, 1, :] = [2.0, 2.0]
-        np.testing.assert_array_equal(t.array, expected)
-
-    def test_rejects_too_few_or_empty(self):
-        with pytest.raises(ValueError):
-            outer_product(([1, 2],))
-        with pytest.raises(ValueError):
-            outer_product(())
-        with pytest.raises(ValueError):
-            outer_product(([1, 2], []))
-
-
-class TestModeContract:
-    def test_sum_over_mode(self):
-        t = DenseTensor.from_array(np.ones((2, 3)))
-        out = mode_contract(t, 1, [1, 1, 1])
-        assert out.array.tolist() == [3.0, 3.0]
-
-    def test_row_selection(self):
-        t = DenseTensor.from_array(np.eye(2))
-        out = mode_contract(t, 0, [0, 1])
-        assert out.array.tolist() == [0.0, 1.0]
-
-    def test_column_sums_of_outer(self):
-        t = outer_product(([1, 2], [3, 4]))
-        out = mode_contract(t, 0, [1, 1])
-        assert out.array.tolist() == [9.0, 12.0]
-
-    def test_errors(self):
-        t = DenseTensor.from_array(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            mode_contract(t, 2, [1, 1])
-        with pytest.raises(ValueError):
-            mode_contract(t, 0, [1, 1, 1])
-
-    @settings(deadline=None, max_examples=60, derandomize=True)
-    @given(
-        alpha=st.floats(-4, 4, allow_nan=False),
-        beta=st.floats(-4, 4, allow_nan=False),
-        seed=st.integers(0, 2**16),
-    )
-    def test_linearity(self, alpha, beta, seed):
-        rng = np.random.default_rng(seed)
-        t = DenseTensor.from_array(rng.standard_normal((3, 4, 2)))
-        v = rng.standard_normal(4)
-        w = rng.standard_normal(4)
-        lhs = mode_contract(t, 1, alpha * v + beta * w).array
-        rhs = alpha * mode_contract(t, 1, v).array + beta * mode_contract(t, 1, w).array
-        np.testing.assert_allclose(lhs, rhs, atol=1e-10 * max(1.0, np.abs(rhs).max()))
-
-
-class TestFrobeniusNorm:
-    def test_all_ones(self):
-        t = DenseTensor.from_array(np.ones((2, 3, 4)))
-        assert frobenius_norm(t) == pytest.approx(np.sqrt(24), rel=1e-15)
-
-    def test_zeros(self):
-        assert frobenius_norm(DenseTensor.zeros((3, 3))) == 0.0
-
-    def test_three_four_five(self):
-        assert frobenius_norm(DenseTensor.from_array([[3.0, 4.0]])) == 5.0
-
-    @settings(deadline=None, max_examples=60, derandomize=True)
-    @given(seed=st.integers(0, 2**16), modes=st.integers(2, 4))
-    def test_rank1_norm_identity(self, seed, modes):
-        # Norm of an outer product is the product of the vector norms.
-        rng = np.random.default_rng(seed)
-        vectors = [rng.standard_normal(rng.integers(1, 5)) for _ in range(modes)]
-        product_of_norms = np.prod([np.linalg.norm(v) for v in vectors])
-        norm = frobenius_norm(outer_product(vectors))
-        assert norm == pytest.approx(product_of_norms, rel=1e-10, abs=1e-12)
-
-
-class TestAddScaled:
-    def test_cancellation(self):
-        ones = DenseTensor.from_array(np.ones((2, 2)))
-        out = add_scaled(ones, ones, -1.0)
-        np.testing.assert_array_equal(out.array, np.zeros((2, 2)))
-
-    def test_identity(self):
-        t = DenseTensor.from_array([[1.0, -7.0], [0.5, 2.0]])
-        out = add_scaled(DenseTensor.zeros((2, 2)), t, 1.0)
-        assert out == t
-
-    def test_halving(self):
-        out = add_scaled(
-            DenseTensor.from_array([[1.0, 2.0]]),
-            DenseTensor.from_array([[10.0, 20.0]]),
-            0.5,
-        )
-        assert out.array.tolist() == [[6.0, 12.0]]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            add_scaled(DenseTensor.zeros((2, 2)), DenseTensor.zeros((2, 3)), 1.0)
-
-    def test_subtract_then_add_back_exact(self):
-        # On a dyadic grid (multiples of 1/16 with small magnitude) every
-        # intermediate is exactly representable, so the round trip must be
-        # bit-exact: no reassociation hides in the elementwise ops.
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            a = DenseTensor.from_array(rng.integers(-1000, 1000, (4, 5)) / 16.0)
-            b = DenseTensor.from_array(rng.integers(-1000, 1000, (4, 5)) / 16.0)
-            back = add_scaled(add_scaled(a, b, -1.0), b, 1.0)
-            assert back == a
-
-
-class TestRank1Term:
-    def test_materialize_matches_outer(self):
-        rng = np.random.default_rng(3)
-        vecs = [rng.standard_normal(n) for n in (3, 4, 2)]
-        vecs = [v / np.linalg.norm(v) for v in vecs]
-        term = Rank1Term(tuple(vecs), 2.5)
-        expected = 2.5 * outer_product(vecs).array
-        np.testing.assert_allclose(term.materialize().array, expected, atol=1e-14)
-
-    def test_unit_norm_enforced(self):
-        with pytest.raises(ValueError):
-            Rank1Term((np.array([2.0, 0.0]), np.array([1.0, 0.0])), 1.0)

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from cpcompress.data import Dataset, make_synthetic_dataset
+from cpcompress.cp import reconstruct
 from cpcompress.network import (
+    Conv,
     DecomposedConv,
     DecomposedFc,
     Fc,
+    Flatten,
+    MaxPool,
     NetworkSpec,
-    forward,
+    ReLU,
     stage_count,
 )
 from cpcompress.presets import toy_cnn
@@ -28,7 +32,14 @@ from cpcompress.train import (
     softmax_cross_entropy,
 )
 
-from helpers import check_gradients, gradient_check_net, strided_check_net
+from helpers import (
+    check_gradients,
+    gradient_check_net,
+    naive_conv,
+    naive_fc,
+    naive_max_pool,
+    strided_check_net,
+)
 
 
 def tiny_dataset(seed=0, n_train=120, n_test=60):
@@ -51,26 +62,28 @@ def _layer_arrays(net):
     return arrays
 
 
-def _loop_pool(x, dy, k, s):
-    """Max-pool forward and backward, one window at a time: each window's
-    gradient goes to its first maximum in row-major order."""
-    b, c, w, h = x.shape
-    wout, hout = (w - k) // s + 1, (h - k) // s + 1
-    out = np.zeros((b, c, wout, hout))
-    dx = np.zeros_like(x)
-    for n in range(b):
-        for ch in range(c):
-            for wo in range(wout):
-                for ho in range(hout):
-                    window = x[n, ch, wo * s : wo * s + k, ho * s : ho * s + k]
-                    best = 0
-                    for pos in range(1, k * k):
-                        if window.flat[pos] > window.flat[best]:
-                            best = pos
-                    j, i = divmod(best, k)
-                    out[n, ch, wo, ho] = window[j, i]
-                    dx[n, ch, wo * s + j, ho * s + i] += dy[n, ch, wo, ho]
-    return out, dx
+def _per_window(layer, x):
+    """One sample through the independent loops in helpers."""
+    if isinstance(layer, MaxPool):
+        return naive_max_pool(x[None], layer.window, layer.stride)[0][0]
+    if isinstance(layer, Fc):
+        return naive_fc(x, layer.weights, layer.bias)
+    if isinstance(layer, DecomposedFc):
+        hidden = naive_fc(x, layer.factors.vt, None)
+        return naive_fc(hidden, layer.factors.ud, layer.bias)
+    spec = layer.spec
+    if isinstance(layer, Conv):
+        kernel = layer.weights
+    else:
+        kernel = np.concatenate([reconstruct(f).array for f in layer.factors])
+    s_g = spec.in_channels // spec.groups
+    t_g = spec.out_channels // spec.groups
+    out = np.concatenate([
+        naive_conv(x[g * s_g : (g + 1) * s_g], kernel[g * t_g : (g + 1) * t_g],
+                   spec.stride, spec.padding)
+        for g in range(spec.groups)
+    ])
+    return out if layer.bias is None else out + layer.bias[:, None, None]
 
 
 class TestLosses:
@@ -110,14 +123,27 @@ class TestBackward:
             worst = check_gradients(net, x, labels, rel_tol=1e-4, rng=np.random.default_rng(2))
             assert worst <= 1e-4
 
-    def test_batched_forward_matches_single_sample(self):
+    def test_batched_layers_match_per_window_loops(self):
+        # Each sample of a batch of four, layer by layer, against loops that
+        # never see a batch: naive_conv per group for the dense convolution
+        # and for the reconstructed kernel of a factorized one, plain loops
+        # for fc layers and max-pooling.
         rng = np.random.default_rng(3)
+        checked = set()
         for make_net in (gradient_check_net, strided_check_net):
             net = make_net(rng)
-            x = rng.standard_normal((4,) + net.input_shape)
-            batched = batch_outputs(net, x)
-            single = np.stack([forward(net, x[i]) for i in range(4)])
-            np.testing.assert_allclose(batched, single, atol=1e-12)
+            shapes = [net.input_shape] + net.layer_shapes()
+            for layer, shape in zip(net.layers, shapes):
+                if isinstance(layer, (ReLU, Flatten)):
+                    continue
+                x = rng.standard_normal((4,) + shape)
+                batched = layer.forward(layer.params(), x)
+                for sample, out in zip(x, batched):
+                    want = _per_window(layer, sample)
+                    atol = 1e-12 * max(1.0, np.abs(want).max())
+                    np.testing.assert_allclose(out, want, rtol=0, atol=atol)
+                checked.add(type(layer))
+        assert checked == {Conv, DecomposedConv, Fc, DecomposedFc, MaxPool}
 
     def test_gradient_keys_cover_all_trainable_tensors(self):
         rng = np.random.default_rng(4)
@@ -136,22 +162,19 @@ class TestBackward:
 class TestMaxPoolTies:
     @pytest.mark.parametrize("k, s", [(2, 2), (3, 2), (2, 1), (3, 1), (3, 3)])
     def test_ties_route_to_first_maximum(self, k, s):
-        from cpcompress.network import MaxPool
-        from cpcompress.train import _MaxPoolState
-
         rng = np.random.default_rng(k * 10 + s)
         # Values from {0, 1, 2} tie often; the last sample ties everywhere.
         x = rng.integers(0, 3, (3, 2, 8, 9)).astype(float)
         x[-1] = 1.0
-        state = _MaxPoolState(MaxPool("pool", window=k, stride=s))
+        pool = MaxPool("pool", window=k, stride=s)
         cache = {}
-        out = state.forward(x, cache)
+        out = pool.forward({}, x, cache)
         # Small integer gradients keep the sums at shared positions exact.
         dy = rng.integers(-4, 5, out.shape).astype(float)
-        dx = state.backward(dy, cache, {})
-        want_out, want_dx = _loop_pool(x, dy, k, s)
+        dx = pool.backward({}, dy, cache, {})
+        want_out, want_dx = naive_max_pool(x, k, s, dy)
         np.testing.assert_array_equal(out, want_out)
-        np.testing.assert_array_equal(state.forward(x, None), want_out)
+        np.testing.assert_array_equal(pool.forward({}, x), want_out)
         np.testing.assert_array_equal(dx, want_dx)
         # In the all-tied sample every window routes to its top-left element.
         corner = np.zeros(x.shape[1:], dtype=bool)
@@ -169,16 +192,16 @@ class TestFinetune:
 
     def test_zero_scaled_update_is_bit_identical(self):
         # A parameter step scaled by zero must not perturb a single bit.
-        from cpcompress.train import _build_states, _export_states
-
         data = tiny_dataset()
         net = toy_cnn(seed=1)
-        states = _build_states(net)
         grads = backward(net, data.train_x[:8], data.train_y[:8])
-        for state in states:
-            for key in state.params:
-                state.params[key] = state.params[key] - 0.0 * grads[(state.name, key)]
-        assert _export_states(net, states) == net
+        layers = []
+        for layer in net.layers:
+            params = layer.params()
+            for key in params:
+                params[key] = params[key] - 0.0 * grads[(layer.name, key)]
+            layers.append(layer.with_params(params))
+        assert NetworkSpec(net.input_shape, tuple(layers)) == net
 
     def test_finetune_leaves_input_arrays_untouched(self):
         from cpcompress.network import decompose_layer, replace_layer
