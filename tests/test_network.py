@@ -29,7 +29,7 @@ from cpcompress.network import (
 )
 from cpcompress.verify import corruption_suite, random_network, roundtrip_suite
 
-from helpers import separated_cp_kernel
+from helpers import gradient_check_net, separated_cp_kernel
 
 
 def small_net(rng):
@@ -270,6 +270,74 @@ class TestNetworkSpecValidation:
     def test_fc_needs_flat_input(self):
         with pytest.raises(ValueError):
             NetworkSpec((3, 8, 8), (Fc("fc", np.zeros((4, 192)), None),))
+
+
+_LAYER_KINDS = [cls.kind for cls in (Conv, DecomposedConv, Fc, DecomposedFc, ReLU, MaxPool, Flatten)]
+
+
+def _layer_of_kind(kind):
+    """The first layer of `kind` in gradient_check_net and its input shape."""
+    net = gradient_check_net(np.random.default_rng(40))
+    in_shapes = [net.input_shape] + net.layer_shapes()[:-1]
+    for layer, in_shape in zip(net.layers, in_shapes):
+        if layer.kind == kind:
+            return layer, in_shape
+    raise AssertionError(f"gradient_check_net holds no {kind} layer")
+
+
+class TestLayerMembers:
+    """Each layer kind's own members: rebuilding, parameters, batched passes."""
+
+    @pytest.mark.parametrize("kind", _LAYER_KINDS)
+    def test_build_from_fields_and_params_is_bit_identical(self, kind):
+        layer, in_shape = _layer_of_kind(kind)
+        params = layer.params()
+        assert all(not arr.flags.writeable for arr in params.values())
+        rebuilt = type(layer).build(layer.name, layer.fields(), params)
+        assert type(rebuilt) is type(layer)
+        assert NetworkSpec(in_shape, (rebuilt,)) == NetworkSpec(in_shape, (layer,))
+        assert NetworkSpec(in_shape, (layer.with_params(params),)) == NetworkSpec(
+            in_shape, (layer,)
+        )
+
+    @pytest.mark.parametrize("kind", _LAYER_KINDS)
+    def test_forward_reads_the_params_it_is_given(self, kind):
+        layer, in_shape = _layer_of_kind(kind)
+        rng = np.random.default_rng(41)
+        shifted = {tag: arr + rng.standard_normal(arr.shape) for tag, arr in layer.params().items()}
+        swapped = layer.with_params(shifted)
+        assert list(swapped.params()) == list(shifted)
+        for tag, arr in swapped.params().items():
+            np.testing.assert_array_equal(arr, shifted[tag])
+        x = rng.standard_normal((2,) + in_shape)
+        np.testing.assert_array_equal(
+            layer.forward(shifted, x), swapped.forward(swapped.params(), x)
+        )
+
+    @pytest.mark.parametrize("kind", _LAYER_KINDS)
+    def test_batched_forward_shape_and_multiplies(self, kind):
+        layer, in_shape = _layer_of_kind(kind)
+        batch = 3
+        x = np.random.default_rng(42).standard_normal((batch,) + in_shape)
+        counter = MultiplyCounter()
+        y = layer.forward(layer.params(), x, None, counter)
+        assert y.shape == (batch,) + layer.out_shape(in_shape)
+        assert counter.count == batch * layer.counts(in_shape)[3]
+
+    @pytest.mark.parametrize("kind", _LAYER_KINDS)
+    def test_backward_gradient_shapes(self, kind):
+        layer, in_shape = _layer_of_kind(kind)
+        rng = np.random.default_rng(43)
+        params = layer.params()
+        x = rng.standard_normal((2,) + in_shape)
+        cache = {}
+        y = layer.forward(params, x, cache)
+        grads = {}
+        dx = layer.backward(params, rng.standard_normal(y.shape), cache, grads)
+        assert dx.shape == x.shape
+        assert set(grads) == set(params)
+        for tag, arr in params.items():
+            assert grads[tag].shape == arr.shape
 
 
 # sha256 of save(random_network(default_rng(seed))).  Different bytes mean a
