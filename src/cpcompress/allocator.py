@@ -15,7 +15,7 @@ from math import floor
 
 import numpy as np
 
-from .network import Conv, Fc, NetworkSpec, decompose_layer, replace_layer
+from .network import NetworkSpec, decompose_layer, replace_layer
 from . import train as train_mod
 
 __all__ = [
@@ -173,11 +173,8 @@ def measure_sensitivity(
     baseline = float(eval_fn(net))
     entries = []
     for layer in net.layers:
-        if isinstance(layer, Conv):
-            group = "conv"
-        elif isinstance(layer, Fc):
-            group = "fc"
-        else:
+        group = layer.rank_group
+        if group is None:
             continue
         accuracy = probe_sensitivity(
             net, layer.name, probe_rank, eval_fn,

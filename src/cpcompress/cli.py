@@ -142,14 +142,10 @@ def _parse_budgets(text: str) -> dict:
 
 def _uniform_budget_ranks(net: NetworkSpec, budgets: dict) -> dict:
     """Spread each group budget uniformly when no sensitivity data exists."""
-    from .network import Conv, Fc
-
     groups = {"conv": [], "fc": []}
     for layer in net.layers:
-        if isinstance(layer, Conv):
-            groups["conv"].append(layer.name)
-        elif isinstance(layer, Fc):
-            groups["fc"].append(layer.name)
+        if layer.rank_group is not None:
+            groups[layer.rank_group].append(layer.name)
     ranks = {}
     for group, names in groups.items():
         if not names:
@@ -314,14 +310,12 @@ def _toy_mid_ranks(net: NetworkSpec, fraction: float) -> dict:
     """Ranks at roughly `fraction` of each layer's full (lossless) rank."""
     from math import ceil
 
-    from .network import Conv, Fc
-
     ranks = {}
     for layer in net.layers:
-        if isinstance(layer, Conv):
+        if layer.rank_group == "conv":
             t, s_g, d, _ = layer.spec.kernel_shape
             full = min(s_g * d * d, s_g * t, d * d * t)
-        elif isinstance(layer, Fc):
+        elif layer.rank_group == "fc":
             full = min(layer.out_features, layer.in_features)
         else:
             continue

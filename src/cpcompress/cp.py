@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DenseTensor, _frozen
+from .tensor import DenseTensor, _freeze, _frozen
 
 __all__ = [
     "TpmConfig",
@@ -234,7 +234,7 @@ def decompose_kernel(kernel: DenseTensor, cfg: TpmConfig) -> CpFactors:
         u1[r] = a
         u2[r] = b.reshape(d, d)
         u3[:, r] = scale * c
-    return CpFactors(u1, u2, u3)
+    return CpFactors(_freeze(u1), _freeze(u2), _freeze(u3))
 
 
 def reconstruct(factors: CpFactors) -> DenseTensor:

@@ -39,7 +39,7 @@ from . import conv as conv_ops
 from .conv import ConvSpec, MultiplyCounter
 from .cp import CpFactors, TpmConfig, decompose_kernel
 from .svd import SvdFactors, truncated_svd
-from .tensor import DenseTensor, _frozen
+from .tensor import DenseTensor, _freeze, _frozen, _same_bits
 
 __all__ = [
     "Conv",
@@ -80,6 +80,7 @@ class _Layer:
     """
 
     stages = 1  # computational stages the slot holds
+    rank_group = None  # "conv" or "fc" on a layer that can still be factorized
 
     @property
     def report_kind(self) -> str:
@@ -174,6 +175,7 @@ class Conv(_ConvKind):
     bias: np.ndarray | None = None
 
     kind = "conv"
+    rank_group = "conv"
 
     def __post_init__(self):
         w = _frozen(self.weights)
@@ -316,6 +318,7 @@ class Fc(_FcKind):
     bias: np.ndarray | None = None
 
     kind = "fc"
+    rank_group = "fc"
 
     def __post_init__(self):
         w = _frozen(self.weights)
@@ -494,7 +497,6 @@ _KINDS = {
     cls.kind: cls
     for cls in (Conv, DecomposedConv, Fc, DecomposedFc, ReLU, MaxPool, Flatten)
 }
-_DECOMPOSABLE = (Conv, Fc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,15 +537,13 @@ class NetworkSpec:
             return False
         if len(self.layers) != len(other.layers):
             return False
-        return all(
-            _layer_state(a) == _layer_state(b)
-            for a, b in zip(self.layers, other.layers)
-        )
+        return all(_same_layer(a, b) for a, b in zip(self.layers, other.layers))
 
 
-def _layer_state(layer) -> tuple:
-    entry, blobs = _layer_manifest(layer)
-    return entry, [blob.tobytes() for blob in blobs]
+def _same_layer(a, b) -> bool:
+    entry_a, blobs_a = _layer_manifest(a)
+    entry_b, blobs_b = _layer_manifest(b)
+    return entry_a == entry_b and all(map(_same_bits, blobs_a, blobs_b))
 
 
 def stage_count(net: NetworkSpec) -> int:
@@ -739,7 +739,7 @@ def replace_layer(net: NetworkSpec, layer_name: str, factors) -> NetworkSpec:
 
 def decomposable_layers(net: NetworkSpec) -> list:
     """Names of conv/fc layers still in their original form, in order."""
-    return [layer.name for layer in net.layers if isinstance(layer, _DECOMPOSABLE)]
+    return [layer.name for layer in net.layers if layer.rank_group is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -790,21 +790,32 @@ def save(net: NetworkSpec, path) -> None:
         fh.write(payload)
         fh.write(b"\n")
         for arr in blobs:
-            raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-            fh.write(struct.pack("<Q", len(raw)))
-            fh.write(struct.pack("<I", zlib.crc32(raw)))
-            fh.write(raw)
+            # The array's own buffer is checksummed and written: a layer's
+            # arrays are C-ordered float64, so on a little-endian host
+            # nothing is copied.
+            arr = np.ascontiguousarray(arr, dtype="<f8")
+            fh.write(struct.pack("<QI", arr.nbytes, zlib.crc32(arr)))
+            fh.write(arr)
+
+
+def _check_left(fh, n: int, what: str) -> None:
+    # A declared length is checked against the bytes left before anything
+    # is read or allocated, so a hostile length field never reaches either.
+    offset = fh.tell()
+    left = os.fstat(fh.fileno()).st_size - offset
+    if not 0 <= n <= left:
+        raise ModelFormatError(
+            f"truncated file: wanted {n} bytes of {what}, {left} left", offset
+        )
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
-    # A declared length is checked against the bytes left before reading,
-    # so a hostile length field never reaches read().
+    _check_left(fh, n, what)
     offset = fh.tell()
-    left = os.fstat(fh.fileno()).st_size - offset
-    data = fh.read(n) if 0 <= n <= left else b""
+    data = fh.read(n)
     if len(data) != n:
         raise ModelFormatError(
-            f"truncated file: wanted {n} bytes of {what}, {left} left", offset
+            f"truncated file: wanted {n} bytes of {what}, got {len(data)}", offset
         )
     return data
 
@@ -819,15 +830,21 @@ def _read_blob(fh, shape, tag: str) -> np.ndarray:
         raise ModelFormatError(
             f"blob {tag!r} length {length} does not match shape {shape}", offset
         )
-    raw = _read_exact(fh, length, f"{tag} blob payload")
-    if zlib.crc32(raw) != crc:
-        raise ModelFormatError(f"checksum mismatch in blob {tag!r}", offset)
+    _check_left(fh, length, f"{tag} blob payload")
     try:
-        arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        arr = np.empty(shape, dtype="<f8")
     except ValueError as exc:  # an empty blob whose other dims numpy cannot hold
         raise ModelFormatError(f"blob {tag!r} cannot take shape {shape}: {exc}", offset) from exc
-    arr.flags.writeable = False
-    return arr
+    # The payload goes straight into the array the layer will adopt.
+    got = fh.readinto(arr)
+    if got != length:
+        raise ModelFormatError(
+            f"truncated file: wanted {length} bytes of {tag} blob payload, got {got}",
+            offset,
+        )
+    if zlib.crc32(arr) != crc:
+        raise ModelFormatError(f"checksum mismatch in blob {tag!r}", offset)
+    return _freeze(arr)
 
 
 def _layer_from_manifest(entry, fh):

@@ -4,10 +4,12 @@
 
 ``alexnet`` / ``alexnet_decomposed`` reproduce the classic 5-conv/3-fc
 architecture at 227x227 purely for analytic accounting (weights are zeros;
-nothing here is trained).  The decomposed builder follows the replacement
-scheme the published totals for this architecture correspond to, which
-differs from :func:`cpcompress.network.replace_layer` in two documented
-ways:
+nothing here is trained).  The zeros are read-only ``np.zeros`` arrays that
+the layers adopt, so their pages are never written and the ~490 MB of
+weights cost next to no resident memory.  The decomposed variant follows
+the replacement scheme the published totals for this architecture
+correspond to, which differs from :func:`cpcompress.network.replace_layer`
+in two documented ways:
 
   * the first convolution, whose 3 input channels are far below its rank,
     splits into TWO stages (a D x D convolution with R filters followed by
@@ -37,6 +39,7 @@ from .network import (
     ReLU,
 )
 from .svd import SvdFactors
+from .tensor import _freeze
 
 __all__ = [
     "ALEXNET_DEFAULT_RANKS",
@@ -72,8 +75,12 @@ _ALEXNET_FCS = [("fc6", 4096, 9216), ("fc7", 4096, 4096), ("fc8", 1000, 4096)]
 _ALEXNET_POOL_AFTER = {"conv1", "conv2", "conv5"}
 
 
+def _zeros(*shape) -> np.ndarray:
+    return _freeze(np.zeros(shape))
+
+
 def _zeros_conv(name: str, spec: ConvSpec) -> Conv:
-    return Conv(name, spec, np.zeros(spec.kernel_shape), np.zeros(spec.out_channels))
+    return Conv(name, spec, _zeros(*spec.kernel_shape), _zeros(spec.out_channels))
 
 
 def alexnet() -> NetworkSpec:
@@ -86,7 +93,7 @@ def alexnet() -> NetworkSpec:
             layers.append(MaxPool(f"{name}.pool", window=3, stride=2))
     layers.append(Flatten("flatten"))
     for name, m, n in _ALEXNET_FCS:
-        layers.append(Fc(name, np.zeros((m, n)), np.zeros(m)))
+        layers.append(Fc(name, _zeros(m, n), _zeros(m)))
         if name != "fc8":
             layers.append(ReLU(f"{name}.relu"))
     return NetworkSpec((3, 227, 227), tuple(layers))
@@ -97,7 +104,7 @@ def _zero_factors(spec: ConvSpec, rank: int) -> tuple:
     t_g = spec.out_channels // spec.groups
     d = spec.kernel_size
     return tuple(
-        CpFactors(np.zeros((rank, s_g)), np.zeros((rank, d, d)), np.zeros((t_g, rank)))
+        CpFactors(_zeros(rank, s_g), _zeros(rank, d, d), _zeros(t_g, rank))
         for _ in range(spec.groups)
     )
 
@@ -116,15 +123,15 @@ def alexnet_decomposed(ranks: dict | None = None) -> NetworkSpec:
                 stride=spec.stride, padding=spec.padding,
             )
             mix = ConvSpec(spec.out_channels, rank, 1)
-            layers.append(Conv(f"{name}.spatial", spatial, np.zeros(spatial.kernel_shape)))
+            layers.append(Conv(f"{name}.spatial", spatial, _zeros(*spatial.kernel_shape)))
             layers.append(
-                Conv(f"{name}.mix", mix, np.zeros(mix.kernel_shape),
-                     np.zeros(spec.out_channels))
+                Conv(f"{name}.mix", mix, _zeros(*mix.kernel_shape),
+                     _zeros(spec.out_channels))
             )
         else:
             layers.append(
                 DecomposedConv(name, spec, _zero_factors(spec, rank),
-                               np.zeros(spec.out_channels))
+                               _zeros(spec.out_channels))
             )
         layers.append(ReLU(f"{name}.relu"))
         if name in _ALEXNET_POOL_AFTER:
@@ -132,8 +139,8 @@ def alexnet_decomposed(ranks: dict | None = None) -> NetworkSpec:
     layers.append(Flatten("flatten"))
     for name, m, n in _ALEXNET_FCS:
         rank = ranks[name]
-        factors = SvdFactors(np.zeros((m, rank)), np.zeros((rank, n)))
-        layers.append(DecomposedFc(name, factors, np.zeros(m)))
+        factors = SvdFactors(_zeros(m, rank), _zeros(rank, n))
+        layers.append(DecomposedFc(name, factors, _zeros(m)))
         if name != "fc8":
             layers.append(ReLU(f"{name}.relu"))
     return NetworkSpec((3, 227, 227), tuple(layers))
@@ -148,7 +155,7 @@ TOY_CLASSES = 10
 
 
 def _he_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    return rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)
+    return _freeze(rng.standard_normal(shape) * np.sqrt(2.0 / fan_in))
 
 
 def toy_cnn(seed: int = 0) -> NetworkSpec:
@@ -159,15 +166,15 @@ def toy_cnn(seed: int = 0) -> NetworkSpec:
     fc1_in = 16 * 4 * 4
     fc1_out = 48
     layers = (
-        Conv("conv1", conv1, _he_init(rng, conv1.kernel_shape, 3 * 9), np.zeros(8)),
+        Conv("conv1", conv1, _he_init(rng, conv1.kernel_shape, 3 * 9), _zeros(8)),
         ReLU("relu1"),
         MaxPool("pool1", window=2, stride=2),
-        Conv("conv2", conv2, _he_init(rng, conv2.kernel_shape, 8 * 9), np.zeros(16)),
+        Conv("conv2", conv2, _he_init(rng, conv2.kernel_shape, 8 * 9), _zeros(16)),
         ReLU("relu2"),
         MaxPool("pool2", window=2, stride=2),
         Flatten("flatten"),
-        Fc("fc1", _he_init(rng, (fc1_out, fc1_in), fc1_in), np.zeros(fc1_out)),
+        Fc("fc1", _he_init(rng, (fc1_out, fc1_in), fc1_in), _zeros(fc1_out)),
         ReLU("relu3"),
-        Fc("fc2", _he_init(rng, (TOY_CLASSES, fc1_out), fc1_out), np.zeros(TOY_CLASSES)),
+        Fc("fc2", _he_init(rng, (TOY_CLASSES, fc1_out), fc1_out), _zeros(TOY_CLASSES)),
     )
     return NetworkSpec(TOY_INPUT_SHAPE, layers)

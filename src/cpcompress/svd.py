@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _frozen
+from .tensor import _freeze, _frozen
 
 __all__ = ["SvdFactors", "truncated_svd", "singular_values"]
 
@@ -188,6 +188,7 @@ def truncated_svd(w, rank: int) -> SvdFactors:
         if not np.allclose(gram, np.eye(int(live.sum())), atol=1e-8):
             raise ArithmeticError("left singular vectors lost orthonormality")
 
-    ud = u[:, :rank] * s[:rank]
-    return SvdFactors(ud, vt[:rank, :])
+    # Both factors are fresh C-ordered arrays, which SvdFactors adopts.
+    ud = np.multiply(u[:, :rank], s[:rank], order="C")
+    return SvdFactors(_freeze(ud), _freeze(vt[:rank].copy()))
 

@@ -2,7 +2,8 @@
 
 Kernel decomposition and the single-input convolution functions take and
 return :class:`DenseTensor` values; layers keep their arrays read-only with
-:func:`_frozen`.
+:func:`_frozen`, which adopts an array that is already frozen and copies
+anything else once.
 """
 
 from math import prod
@@ -12,11 +13,37 @@ import numpy as np
 __all__ = ["DenseTensor"]
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """Own a C-ordered float64 copy and mark it read-only."""
-    out = np.array(array, dtype=np.float64, order="C")
-    out.flags.writeable = False
-    return out
+def _frozen(array) -> np.ndarray:
+    """`array` as a read-only, C-ordered float64 array: copied unless already
+    frozen, that is unless it is such an array and owns its data.
+
+    Only an owner is adopted, because a read-only view may sit on a writeable
+    base the caller still holds.  A producer hands over a fresh array with
+    :func:`_freeze` and keeps no writeable view of it.
+    """
+    if (
+        type(array) is np.ndarray
+        and array.dtype == np.float64
+        and array.flags.c_contiguous
+        and array.flags.owndata
+        and not array.flags.writeable
+    ):
+        return array
+    return _freeze(np.array(array, dtype=np.float64, order="C"))
+
+
+def _freeze(array: np.ndarray) -> np.ndarray:
+    """Mark a freshly made array read-only in place, so :func:`_frozen` adopts
+    it instead of copying it."""
+    array.flags.writeable = False
+    return array
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two frozen arrays hold the same shape and bit patterns; compared
+    as 64-bit integers in place, so -0.0 differs from 0.0 and a NaN equals
+    itself."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class DenseTensor:
@@ -48,12 +75,13 @@ class DenseTensor:
 
     @classmethod
     def from_array(cls, array) -> "DenseTensor":
-        """Build a tensor from any nested sequence or ndarray (copied)."""
-        arr = np.asarray(array, dtype=np.float64)
+        """Build a tensor from any nested sequence or ndarray (copied unless
+        already frozen, see :func:`_frozen`)."""
+        arr = _frozen(array)
         if arr.ndim == 0:
             raise ValueError("0-way arrays are not tensors here")
         t = cls.__new__(cls)
-        t._array = _frozen(arr)
+        t._array = arr
         return t
 
     @classmethod
@@ -62,9 +90,7 @@ class DenseTensor:
         if not shape or any(s <= 0 for s in shape):
             raise ValueError(f"invalid shape {shape}")
         t = cls.__new__(cls)
-        arr = np.zeros(shape, dtype=np.float64)
-        arr.flags.writeable = False
-        t._array = arr
+        t._array = _freeze(np.zeros(shape, dtype=np.float64))
         return t
 
     @property
@@ -98,9 +124,7 @@ class DenseTensor:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseTensor):
             return NotImplemented
-        return self.shape == other.shape and (
-            self._array.tobytes() == other._array.tobytes()
-        )
+        return _same_bits(self._array, other._array)
 
     def __hash__(self):
         return hash((self.shape, self._array.tobytes()))

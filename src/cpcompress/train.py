@@ -11,7 +11,8 @@ The trainer holds one dict of named parameter arrays per layer, as the
 layer's ``params()`` returns them: at first the network's own read-only
 arrays.  An SGD step replaces an array with a new one instead of writing
 into it, so training never copies or mutates its input network, and
-``with_params`` turns the trained dicts back into layers.
+``with_params`` turns the trained dicts back into layers, which adopt the
+trained arrays rather than copy them.
 
 Two schedules are provided.  ``iterative_compress`` factorizes one layer,
 fine-tunes the whole network (nothing is frozen), then moves to the next
@@ -26,6 +27,7 @@ import numpy as np
 
 from .data import Dataset
 from .network import NetworkSpec, decompose_layer, decomposable_layers, replace_layer
+from .tensor import _freeze
 
 __all__ = [
     "TrainConfig",
@@ -300,7 +302,12 @@ def finetune(net: NetworkSpec, data: Dataset, cfg: TrainConfig, epochs: int | No
     params = _params(net)
     n_epochs = cfg.epochs_per_stage if epochs is None else int(epochs)
     history = _run_sgd(net, params, data, cfg, n_epochs)
-    layers = tuple(layer.with_params(p) for layer, p in zip(net.layers, params))
+    # The trained arrays are fresh and nothing else holds them: freezing them
+    # in place lets the new layers adopt them instead of copying.
+    layers = tuple(
+        layer.with_params({key: _freeze(arr) for key, arr in p.items()})
+        for layer, p in zip(net.layers, params)
+    )
     return NetworkSpec(net.input_shape, layers), history
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from cpcompress.conv import ConvSpec, MultiplyCounter
+from cpcompress.cp import CpFactors
+from cpcompress.data import make_synthetic_dataset
 from cpcompress.network import (
     Conv,
     DecomposedConv,
@@ -27,6 +29,8 @@ from cpcompress.network import (
     save,
     stage_count,
 )
+from cpcompress.svd import SvdFactors
+from cpcompress.train import TrainConfig, finetune
 from cpcompress.verify import corruption_suite, random_network, roundtrip_suite
 
 from helpers import gradient_check_net, separated_cp_kernel
@@ -338,6 +342,130 @@ class TestLayerMembers:
         assert set(grads) == set(params)
         for tag, arr in params.items():
             assert grads[tag].shape == arr.shape
+
+
+def _array_slots():
+    """One pytest.param(build, get, value) per array a layer holds: build(a)
+    makes a layer holding `a` in that slot, get(layer) reads the slot back,
+    and value is a fitting array."""
+    spec = ConvSpec(4, 2, 3, padding=1)
+    rng = np.random.default_rng(50)
+    w = rng.standard_normal(spec.kernel_shape)
+    b = rng.standard_normal(4)
+    u1, u2, u3 = (rng.standard_normal(s) for s in ((3, 2), (3, 3, 3), (4, 3)))
+    ud, vt = rng.standard_normal((5, 2)), rng.standard_normal((2, 6))
+    fcw = rng.standard_normal((5, 6))
+    slots = [
+        ("conv.weights", lambda a: Conv("c", spec, a, b), lambda l: l.weights, w),
+        ("conv.bias", lambda a: Conv("c", spec, w, a), lambda l: l.bias, b),
+        ("fc.weights", lambda a: Fc("f", a), lambda l: l.weights, fcw),
+        ("cp.u1", lambda a: DecomposedConv("c", spec, CpFactors(a, u2, u3)),
+         lambda l: l.factors[0].u1, u1),
+        ("cp.u2", lambda a: DecomposedConv("c", spec, CpFactors(u1, a, u3)),
+         lambda l: l.factors[0].u2, u2),
+        ("cp.u3", lambda a: DecomposedConv("c", spec, CpFactors(u1, u2, a)),
+         lambda l: l.factors[0].u3, u3),
+        ("svd.ud", lambda a: DecomposedFc("f", SvdFactors(a, vt)), lambda l: l.factors.ud, ud),
+        ("svd.vt", lambda a: DecomposedFc("f", SvdFactors(ud, a)), lambda l: l.factors.vt, vt),
+    ]
+    return [pytest.param(*slot, id=name) for name, *slot in slots]
+
+
+_each_slot = pytest.mark.parametrize("build, get, value", _array_slots())
+
+
+class TestOwnership:
+    """A layer adopts an array that is already frozen and copies any array
+    its caller could still write through."""
+
+    @_each_slot
+    def test_frozen_owner_is_shared(self, build, get, value):
+        src = value.copy()
+        src.flags.writeable = False
+        assert get(build(src)) is src
+
+    @_each_slot
+    def test_writeable_source_is_copied(self, build, get, value):
+        src = value.copy()
+        layer = build(src)
+        src[...] = 7.0
+        np.testing.assert_array_equal(get(layer), value)
+        assert not np.shares_memory(get(layer), src)
+        assert not get(layer).flags.writeable
+
+    @_each_slot
+    def test_read_only_view_of_writeable_base_is_copied(self, build, get, value):
+        base = value.copy()
+        view = base[...]
+        view.flags.writeable = False
+        layer = build(view)
+        base[...] = 7.0
+        np.testing.assert_array_equal(get(layer), value)
+        assert not np.shares_memory(get(layer), base)
+
+    @_each_slot
+    @pytest.mark.parametrize("convert", ["float32", "fortran", "strided"])
+    def test_other_layouts_are_converted(self, build, get, value, convert):
+        if convert == "float32":
+            src = value = value.astype(np.float32)
+        elif convert == "fortran":
+            src = np.asfortranarray(value)
+        else:
+            src = np.repeat(value, 2, axis=-1)[..., ::2]
+        src.flags.writeable = False
+        held = get(build(src))
+        assert held.dtype == np.float64
+        assert held.flags.c_contiguous and held.flags.owndata
+        assert not held.flags.writeable
+        np.testing.assert_array_equal(held, value)
+
+    @pytest.mark.parametrize("kind", _LAYER_KINDS)
+    def test_with_params_of_params_shares_every_array(self, kind):
+        layer, _ = _layer_of_kind(kind)
+        params = layer.params()
+        rebuilt = layer.with_params(params).params()
+        assert rebuilt.keys() == params.keys()
+        for tag, arr in params.items():
+            assert rebuilt[tag] is arr, tag
+
+    def test_factorizing_yields_factors_a_layer_adopts(self):
+        net = small_net(np.random.default_rng(51))
+        for f in decompose_layer(net.layer("conv2"), 4, seed=0):
+            again = CpFactors(f.u1, f.u2, f.u3)
+            assert again.u1 is f.u1 and again.u2 is f.u2 and again.u3 is f.u3
+        f = decompose_layer(net.layer("fc1"), 3, seed=0)
+        again = SvdFactors(f.ud, f.vt)
+        assert again.ud is f.ud and again.vt is f.vt
+
+    def test_loaded_arrays_are_read_only_owners(self, tmp_path):
+        path = tmp_path / "model.cpnet"
+        save(random_network(np.random.default_rng(52)), path)
+        for layer in load(path).layers:
+            for arr in layer.params().values():
+                assert arr.flags.owndata and not arr.flags.writeable
+
+    def test_finetune_returns_fresh_frozen_arrays(self):
+        data = make_synthetic_dataset(n_train=40, n_test=20, seed=0)
+        rng = np.random.default_rng(53)
+        w1 = rng.standard_normal((4, 3, 3, 3))
+        b1 = np.zeros(4)
+        w2 = rng.standard_normal((10, 4 * 16 * 16)) * 0.01
+        shared = rng.standard_normal(10)
+        shared.flags.writeable = False  # adopted by the net, then trained
+        net = NetworkSpec((3, 16, 16), (
+            Conv("conv", ConvSpec(4, 3, 3, padding=1), w1, b1),
+            ReLU("relu"),
+            Flatten("flatten"),
+            Fc("fc", w2, shared),
+        ))
+        tuned, _ = finetune(net, data, TrainConfig(batch_size=20, seed=0), epochs=1)
+        callers = [w1, b1, w2, shared] + [
+            arr for layer in net.layers for arr in layer.params().values()
+        ]
+        for layer in tuned.layers:
+            for arr in layer.params().values():
+                assert not arr.flags.writeable
+                assert not any(np.shares_memory(arr, c) for c in callers)
 
 
 # sha256 of save(random_network(default_rng(seed))).  Different bytes mean a

@@ -6,6 +6,11 @@ import pytest
 from cpcompress.tensor import DenseTensor
 
 
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 class TestDenseTensor:
     def test_shape_data_contract(self):
         t = DenseTensor((2, 3), [1, 2, 3, 4, 5, 6])
@@ -46,3 +51,21 @@ class TestDenseTensor:
         assert a == b
         assert a == c  # 2.0 + 1e-16 rounds to 2.0 in float64
 
+
+    def test_frozen_owner_is_adopted(self):
+        src = np.ones((2, 3))
+        src.flags.writeable = False
+        assert DenseTensor.from_array(src).array is src
+
+    @pytest.mark.parametrize("src", [
+        np.ones((2, 3)),
+        _read_only(np.ones((2, 3), dtype=np.float32)),
+        _read_only(np.ones((2, 3), order="F")),
+        _read_only(np.ones((4, 3))[::2]),
+    ], ids=["writeable", "float32", "fortran-order", "view"])
+    def test_anything_else_is_copied_once(self, src):
+        arr = DenseTensor.from_array(src).array
+        assert not np.shares_memory(arr, src)
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.owndata
+        assert not arr.flags.writeable
+        np.testing.assert_array_equal(arr, src)
