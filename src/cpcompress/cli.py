@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .allocator import SensitivityReport, allocate_ranks, measure_sensitivity
+from .allocator import LayerSensitivity, SensitivityReport, allocate_ranks, measure_sensitivity
 from .conv import MultiplyCounter
 from .data import make_synthetic_dataset
 from .network import (
@@ -112,15 +112,38 @@ def _bad_setting(args):
     return None
 
 
-def _read_ranks_file(path) -> dict:
+class _Refused(Exception):
+    """Bad input, reported as one error line and an exit code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _read_ranks(path, names, complete: bool = False) -> dict:
+    """The ``layer<TAB>rank`` lines of a ranks file (blank, ``#`` and
+    ``layer<TAB>`` header lines skipped).  Every name must be one of `names`,
+    the target network's decomposable layers, and with `complete` every one
+    of them must have a rank."""
     ranks = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("layer\t"):
-                continue
-            name, value = line.split("\t")
-            ranks[name] = int(value)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#") or line.startswith("layer\t"):
+                    continue
+                name, value = line.split("\t")
+                ranks[name] = int(value)
+    except OSError as exc:
+        raise _Refused(EXIT_FILE, f"cannot read ranks file: {exc}") from None
+    except ValueError as exc:
+        raise _Refused(EXIT_ARGS, f"bad ranks file: {exc}") from None
+    unknown = set(ranks) - set(names)
+    if unknown:
+        raise _Refused(EXIT_ARGS, f"ranks name unknown layers: {sorted(unknown)}")
+    missing = [n for n in names if n not in ranks]
+    if complete and missing:
+        raise _Refused(EXIT_ARGS, f"ranks missing for layers: {missing}")
     return ranks
 
 
@@ -130,36 +153,18 @@ def _write_ranks(ranks: dict, stream) -> None:
         stream.write(f"{name}\t{rank}\n")
 
 
-def _parse_budgets(text: str) -> dict:
+def _allocate(report: SensitivityReport, text: str) -> dict:
+    """allocate_ranks with the per-group budgets ``group=N,...`` in `text`."""
     budgets = {}
-    for part in text.split(","):
-        key, _, value = part.partition("=")
-        if not value:
-            raise ValueError(f"bad budget component {part!r}; want group=N")
-        budgets[key.strip()] = int(value)
-    return budgets
-
-
-def _uniform_budget_ranks(net: NetworkSpec, budgets: dict) -> dict:
-    """Spread each group budget uniformly when no sensitivity data exists."""
-    groups = {"conv": [], "fc": []}
-    for layer in net.layers:
-        if layer.rank_group is not None:
-            groups[layer.rank_group].append(layer.name)
-    ranks = {}
-    for group, names in groups.items():
-        if not names:
-            continue
-        if group not in budgets:
-            raise ValueError(f"no budget for group {group!r}")
-        budget = budgets[group]
-        if budget < len(names):
-            raise ValueError(f"budget {budget} below {len(names)} {group} layers")
-        share = budget // len(names)
-        extra = budget - share * len(names)
-        for i, name in enumerate(names):
-            ranks[name] = share + (1 if i < extra else 0)
-    return ranks
+    try:
+        for part in text.split(","):
+            key, _, value = part.partition("=")
+            if not value:
+                raise ValueError(f"bad budget component {part!r}; want group=N")
+            budgets[key.strip()] = int(value)
+        return allocate_ranks(report, budgets)
+    except ValueError as exc:
+        raise _Refused(EXIT_ARGS, str(exc)) from None
 
 
 def _instrumented_mults(net: NetworkSpec, seed: int) -> int:
@@ -189,82 +194,66 @@ def _print_comparison(original: NetworkSpec, compressed: NetworkSpec, instrument
 
 def cmd_decompose(args) -> int:
     if args.arch == "alexnet":
+        original = alexnet()
         ranks = dict(ALEXNET_DEFAULT_RANKS)
         if args.ranks_file:
-            try:
-                ranks.update(_read_ranks_file(args.ranks_file))
-            except OSError as exc:
-                return _fail(EXIT_FILE, f"cannot read ranks file: {exc}")
-            except ValueError as exc:
-                return _fail(EXIT_ARGS, f"bad ranks file: {exc}")
-        original = alexnet()
+            ranks.update(_read_ranks(args.ranks_file, decomposable_layers(original)))
         try:
             compressed = alexnet_decomposed(ranks)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             return _fail(EXIT_ARGS, f"invalid ranks: {exc}")
-        _print_comparison(
-            original, compressed,
-            instrument_seed=None if args.analytic_only else args.seed,
-        )
-        if args.model_out:
-            save(compressed, args.model_out)
-        return EXIT_OK
-
-    if not args.model_in:
-        return _fail(EXIT_ARGS, "need a model file (--model-in) or --arch alexnet")
-    try:
-        original = load(args.model_in)
-    except OSError as exc:
-        return _fail(EXIT_FILE, f"cannot read {args.model_in}: {exc}")
-    except ModelFormatError as exc:
-        return _fail(EXIT_FILE, f"cannot parse {args.model_in}: {exc}")
-
-    names = decomposable_layers(original)
-    if args.ranks_file:
-        try:
-            ranks = _read_ranks_file(args.ranks_file)
-        except OSError as exc:
-            return _fail(EXIT_FILE, f"cannot read ranks file: {exc}")
-        except ValueError as exc:
-            return _fail(EXIT_ARGS, f"bad ranks file: {exc}")
-    elif args.rank_budget:
-        try:
-            ranks = _uniform_budget_ranks(original, _parse_budgets(args.rank_budget))
-        except ValueError as exc:
-            return _fail(EXIT_ARGS, str(exc))
     else:
-        return _fail(EXIT_ARGS, "need --ranks-file or --rank-budget")
-
-    unknown = set(ranks) - set(names)
-    if unknown:
-        return _fail(EXIT_ARGS, f"ranks name unknown layers: {sorted(unknown)}")
-    # Layers absent from the ranks file are left in their original form.
-    targets = [n for n in names if n in ranks]
-    net = original
-    for index, name in enumerate(targets):
+        if not args.model_in:
+            return _fail(EXIT_ARGS, "need a model file (--model-in) or --arch alexnet")
         try:
-            factors = decompose_layer(net.layer(name), ranks[name], seed=args.seed + index)
-        except ValueError as exc:
-            return _fail(EXIT_ARGS, f"invalid rank for {name}: {exc}")
-        net = replace_layer(net, name, factors)
-    _print_comparison(original, net, instrument_seed=None if args.analytic_only else args.seed)
+            original = load(args.model_in)
+        except OSError as exc:
+            return _fail(EXIT_FILE, f"cannot read {args.model_in}: {exc}")
+        except ModelFormatError as exc:
+            return _fail(EXIT_FILE, f"cannot parse {args.model_in}: {exc}")
+        names = decomposable_layers(original)
+        if args.ranks_file:
+            ranks = _read_ranks(args.ranks_file, names)
+        elif args.rank_budget:
+            # With every loss zero, each group's budget is split evenly and
+            # the earlier layers take the remainder.
+            flat = SensitivityReport(0.0, tuple(
+                LayerSensitivity(layer.name, layer.rank_group, 0.0, 0.0)
+                for layer in original.layers if layer.rank_group is not None
+            ))
+            ranks = _allocate(flat, args.rank_budget)
+        else:
+            return _fail(EXIT_ARGS, "need --ranks-file or --rank-budget")
+        # Layers without a rank are left in their original form.
+        compressed = original
+        for index, name in enumerate(n for n in names if n in ranks):
+            try:
+                factors = decompose_layer(
+                    compressed.layer(name), ranks[name], seed=args.seed + index
+                )
+            except ValueError as exc:
+                return _fail(EXIT_ARGS, f"invalid rank for {name}: {exc}")
+            compressed = replace_layer(compressed, name, factors)
+    _print_comparison(
+        original, compressed, instrument_seed=None if args.analytic_only else args.seed
+    )
     if args.model_out:
-        save(net, args.model_out)
+        save(compressed, args.model_out)
     return EXIT_OK
 
 
-def _trained_baseline(args):
+def _trained_baseline(args, net: NetworkSpec):
     data = make_synthetic_dataset(seed=args.seed)
     cfg = TrainConfig(
         learning_rate=args.baseline_lr, batch_size=args.batch_size,
         lr_step=12, seed=args.seed,
     )
-    net, _ = finetune(toy_cnn(seed=args.seed), data, cfg, epochs=args.baseline_epochs)
+    net, _ = finetune(net, data, cfg, epochs=args.baseline_epochs)
     return data, net
 
 
 def cmd_probe(args) -> int:
-    data, net = _trained_baseline(args)
+    data, net = _trained_baseline(args, toy_cnn(seed=args.seed))
 
     def eval_fn(candidate):
         _, acc = evaluate(candidate, data.test_x, data.test_y)
@@ -293,11 +282,7 @@ def cmd_allocate(args) -> int:
         return _fail(EXIT_FILE, f"cannot read report: {exc}")
     except ValueError as exc:
         return _fail(EXIT_FILE, f"cannot parse report: {exc}")
-    try:
-        budgets = _parse_budgets(args.budget)
-        ranks = allocate_ranks(report, budgets)
-    except ValueError as exc:
-        return _fail(EXIT_ARGS, str(exc))
+    ranks = _allocate(report, args.budget)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             _write_ranks(ranks, fh)
@@ -306,35 +291,18 @@ def cmd_allocate(args) -> int:
     return EXIT_OK
 
 
-def _toy_mid_ranks(net: NetworkSpec, fraction: float) -> dict:
-    """Ranks at roughly `fraction` of each layer's full (lossless) rank."""
-    from math import ceil
-
-    ranks = {}
-    for layer in net.layers:
-        if layer.rank_group == "conv":
-            t, s_g, d, _ = layer.spec.kernel_shape
-            full = min(s_g * d * d, s_g * t, d * d * t)
-        elif layer.rank_group == "fc":
-            full = min(layer.out_features, layer.in_features)
-        else:
-            continue
-        ranks[layer.name] = max(1, ceil(fraction * full))
-    return ranks
-
-
 def cmd_train(args) -> int:
+    # Ranks are settled on the untrained net, which has the trained one's shapes.
+    untrained = toy_cnn(seed=args.seed)
     if args.ranks_file:
-        try:
-            ranks = _read_ranks_file(args.ranks_file)
-        except OSError as exc:
-            return _fail(EXIT_FILE, f"cannot read ranks file: {exc}")
-        except ValueError as exc:
-            return _fail(EXIT_ARGS, f"bad ranks file: {exc}")
-    data, baseline = _trained_baseline(args)
+        ranks = _read_ranks(args.ranks_file, decomposable_layers(untrained), complete=True)
+    else:
+        ranks = {
+            layer.name: max(1, math.ceil(args.rank_fraction * layer.full_rank))
+            for layer in untrained.layers if layer.rank_group is not None
+        }
+    data, baseline = _trained_baseline(args, untrained)
     _, base_acc = evaluate(baseline, data.test_x, data.test_y)
-    if not args.ranks_file:
-        ranks = _toy_mid_ranks(baseline, args.rank_fraction)
     cfg = TrainConfig(
         learning_rate=args.finetune_lr, batch_size=args.batch_size,
         epochs_per_stage=args.epochs_per_stage, lr_step=args.lr_step,
@@ -343,7 +311,7 @@ def cmd_train(args) -> int:
     schedule = iterative_compress if args.schedule == "iterative" else oneshot_compress
     try:
         net, log = schedule(baseline, data, ranks, cfg)
-    except (ValueError,) as exc:
+    except ValueError as exc:
         return _fail(EXIT_ARGS, str(exc))
     sys.stdout.write(log.to_text())
     _, final_acc = evaluate(net, data.test_x, data.test_y)
@@ -491,6 +459,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_ARGS, problem)
     try:
         return _COMMANDS[args.command](args)
+    except _Refused as exc:
+        return _fail(exc.code, str(exc))
     except DivergedError as exc:
         return _fail(EXIT_DIVERGED, f"training diverged: {exc}")
 

@@ -25,7 +25,8 @@ the shapes of the operands they multiply.
 ``max_pool`` apply the same kernels to a single (unbatched) input.
 """
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -84,6 +85,9 @@ class ConvSpec:
     groups: int = 1
 
     def __post_init__(self):
+        # operator.index refuses floats and strings instead of truncating them.
+        for f in fields(self):
+            object.__setattr__(self, f.name, operator.index(getattr(self, f.name)))
         if self.out_channels < 1 or self.in_channels < 1:
             raise ValueError("channel counts must be positive")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:

@@ -17,8 +17,8 @@ For a convolution layer, the factorized form needs R*S + R*D^2 + T*R weights
 instead of T*S*D^2 and R*S*W*H + R*D^2*W'*H' + T*R*W'*H' multiplies instead
 of T*S*D^2*W'*H'; for a fully connected layer both weight and multiply
 counts go from M*N to M*R + R*N.  ``count_params`` measures the
-materialized arrays and cross-asserts the closed-form counts against them;
-an instrumented ``forward`` counts the multiplies the kernels perform.
+materialized arrays; an instrumented ``forward`` counts the multiplies the
+kernels perform.
 
 Model files are a self-describing container: a one-line magic+version
 header, a JSON manifest of layers, then raw little-endian float64 blobs,
@@ -26,6 +26,7 @@ each preceded by its byte length and CRC32.
 """
 
 import json
+import operator
 import os
 import struct
 import zlib
@@ -80,7 +81,9 @@ class _Layer:
     """
 
     stages = 1  # computational stages the slot holds
-    rank_group = None  # "conv" or "fc" on a layer that can still be factorized
+    # "conv" or "fc" on a layer that can still be factorized; such a kind
+    # also has decompose(rank, ...), factorized(factors) and full_rank.
+    rank_group = None
 
     @property
     def report_kind(self) -> str:
@@ -198,6 +201,29 @@ class Conv(_ConvKind):
         mults = self._dense_mults(in_shape)
         return self.weights.size, self.weights.size, mults, mults
 
+    @property
+    def full_rank(self) -> int:
+        """The smallest unfolding's bound on the kernel's rank."""
+        t, s_g, d, _ = self.spec.kernel_shape
+        return min(s_g * d * d, s_g * t, d * d * t)
+
+    def decompose(self, rank, *, seed=0, max_inner_iters=200, tol=1e-8) -> tuple:
+        """One CpFactors per channel group, each at rank ceil(rank / groups)
+        and seeded with seed + its group index."""
+        groups = self.spec.groups
+        t_g = self.spec.out_channels // groups
+        return tuple(
+            decompose_kernel(
+                DenseTensor.from_array(self.weights[gi * t_g : (gi + 1) * t_g]),
+                TpmConfig(rank=ceil(rank / groups), max_inner_iters=max_inner_iters,
+                          tol=tol, seed=seed + gi),
+            )
+            for gi in range(groups)
+        )
+
+    def factorized(self, factors):
+        return DecomposedConv(self.name, self.spec, factors, self.bias)
+
     def _linear(self, params, x, cache, counter):
         return conv_ops.batch_conv(x, params["weights"], self.spec, cache, counter)
 
@@ -255,8 +281,9 @@ class DecomposedConv(_ConvKind):
         return cls(name, spec, factors, params.get("bias"))
 
     def counts(self, in_shape) -> tuple:
-        """Weights are measured and cross-checked against R*S + R*D^2 + T*R
-        per group; multiplies are R*S*W*H + R*D^2*W'*H' + T*R*W'*H'."""
+        """Weights are measured (R*S + R*D^2 + T*R per group, which the
+        constructor's shape checks guarantee); multiplies are
+        R*S*W*H + R*D^2*W'*H' + T*R*W'*H'."""
         spec = self.spec
         w, h = in_shape[1], in_shape[2]
         wout, hout = spec.output_extent(w), spec.output_extent(h)
@@ -266,12 +293,6 @@ class DecomposedConv(_ConvKind):
         params = 0
         mults = 0
         for f in self.factors:
-            analytic = f.rank * s_g + f.rank * d * d + t_g * f.rank
-            if f.param_count != analytic:
-                raise AssertionError(
-                    f"{self.name}: measured factor params {f.param_count} != "
-                    f"closed-form {analytic}"
-                )
             params += f.param_count
             mults += (
                 f.rank * s_g * w * h
@@ -346,6 +367,22 @@ class Fc(_FcKind):
         n = self.weights.size
         return n, n, n, n
 
+    @property
+    def full_rank(self) -> int:
+        return min(self.out_features, self.in_features)
+
+    def decompose(self, rank, *, seed=0, max_inner_iters=200, tol=1e-8) -> SvdFactors:
+        """The truncated SVD; it is deterministic, so the seed and the TPM
+        settings go unused."""
+        return truncated_svd(self.weights, rank)
+
+    def factorized(self, factors):
+        if not isinstance(factors, SvdFactors):
+            raise ValueError(f"{self.name}: fc replacement needs SvdFactors")
+        if (factors.out_features, factors.in_features) != (self.out_features, self.in_features):
+            raise ValueError(f"{self.name}: factor shape mismatch")
+        return DecomposedFc(self.name, factors, self.bias)
+
     def _linear(self, params, x, cache, counter):
         if cache is not None:
             cache["x"] = x
@@ -393,14 +430,9 @@ class DecomposedFc(_FcKind):
         return cls(name, SvdFactors(params["ud"], params["vt"]), params.get("bias"))
 
     def counts(self, in_shape) -> tuple:
-        m, n, r = self.out_features, self.in_features, self.rank
-        measured = self.factors.param_count
-        if measured != m * r + r * n:
-            raise AssertionError(
-                f"{self.name}: measured factor params {measured} != "
-                f"closed-form {m * r + r * n}"
-            )
-        return m * n, measured, m * n, measured
+        dense = self.out_features * self.in_features
+        measured = self.factors.param_count  # M*R + R*N
+        return dense, measured, dense, measured
 
     def _linear(self, params, x, cache, counter):
         hidden = conv_ops.batch_fc(x, params["vt"], counter)
@@ -446,6 +478,8 @@ class MaxPool(_Layer):
     report_kind = "maxpool"
 
     def __post_init__(self):
+        object.__setattr__(self, "window", operator.index(self.window))
+        object.__setattr__(self, "stride", operator.index(self.stride))
         if self.window < 1 or self.stride < 1:
             raise ValueError(f"{self.name}: window and stride must be >= 1")
 
@@ -507,7 +541,7 @@ class NetworkSpec:
     layers: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "input_shape", tuple(int(s) for s in self.input_shape))
+        object.__setattr__(self, "input_shape", tuple(map(operator.index, self.input_shape)))
         object.__setattr__(self, "layers", tuple(self.layers))
         names = [layer.name for layer in self.layers]
         if len(set(names)) != len(names):
@@ -690,25 +724,9 @@ def decompose_layer(
     ceil(rank / groups); returns a tuple of CpFactors.  Fully connected
     layers: returns SvdFactors from the truncated SVD.
     """
-    if isinstance(layer, Conv):
-        group_rank = ceil(rank / layer.spec.groups)
-        t_g = layer.spec.out_channels // layer.spec.groups
-        out = []
-        for gi in range(layer.spec.groups):
-            kernel = DenseTensor.from_array(
-                layer.weights[gi * t_g : (gi + 1) * t_g]
-            )
-            cfg = TpmConfig(
-                rank=group_rank,
-                max_inner_iters=max_inner_iters,
-                tol=tol,
-                seed=seed + gi,
-            )
-            out.append(decompose_kernel(kernel, cfg))
-        return tuple(out)
-    if isinstance(layer, Fc):
-        return truncated_svd(layer.weights, rank)
-    raise ValueError(f"layer {layer.name!r} is not decomposable")
+    if layer.rank_group is None:
+        raise ValueError(f"layer {layer.name!r} is not decomposable")
+    return layer.decompose(rank, seed=seed, max_inner_iters=max_inner_iters, tol=tol)
 
 
 def replace_layer(net: NetworkSpec, layer_name: str, factors) -> NetworkSpec:
@@ -718,21 +736,10 @@ def replace_layer(net: NetworkSpec, layer_name: str, factors) -> NetworkSpec:
     modified.  Replacing an already-decomposed or unknown layer is an error.
     """
     layer = net.layer(layer_name)
-    if isinstance(layer, Conv):
-        new = DecomposedConv(layer.name, layer.spec, factors, layer.bias)
-    elif isinstance(layer, Fc):
-        if not isinstance(factors, SvdFactors):
-            raise ValueError(f"{layer_name}: fc replacement needs SvdFactors")
-        if (
-            factors.out_features != layer.out_features
-            or factors.in_features != layer.in_features
-        ):
-            raise ValueError(f"{layer_name}: factor shape mismatch")
-        new = DecomposedFc(layer.name, factors, layer.bias)
-    elif isinstance(layer, (DecomposedConv, DecomposedFc)):
-        raise ValueError(f"layer {layer_name!r} is already decomposed")
-    else:
-        raise ValueError(f"layer {layer_name!r} is not decomposable")
+    if layer.rank_group is None:
+        state = "already decomposed" if layer.stages > 1 else "not decomposable"
+        raise ValueError(f"layer {layer_name!r} is {state}")
+    new = layer.factorized(factors)
     layers = tuple(new if other is layer else other for other in net.layers)
     return NetworkSpec(net.input_shape, layers)
 
@@ -859,7 +866,7 @@ def _layer_from_manifest(entry, fh):
     for spec_entry in blob_specs:
         try:
             tag = spec_entry["tag"]
-            shape = tuple(int(s) for s in spec_entry["shape"])
+            shape = tuple(map(operator.index, spec_entry["shape"]))
             if not isinstance(tag, str):
                 raise TypeError(f"tag {tag!r} is not a string")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -913,7 +920,7 @@ def load(path) -> NetworkSpec:
         _read_exact(fh, 1, "manifest terminator")
 
         try:
-            input_shape = tuple(int(s) for s in manifest["input_shape"])
+            input_shape = tuple(map(operator.index, manifest["input_shape"]))
             entries = list(manifest["layers"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"bad manifest: {exc}", offset) from exc

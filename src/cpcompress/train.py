@@ -223,12 +223,15 @@ def batch_outputs(net: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunked_outputs(net, params, inputs: np.ndarray, chunk: int = 512) -> np.ndarray:
+def _scores(net, params, inputs: np.ndarray, labels, chunk: int = 512) -> tuple:
+    """(mean cross-entropy, accuracy), forwarding `chunk` inputs at a time."""
     parts = []
     for start in range(0, inputs.shape[0], chunk):
         out, _ = _forward(net, params, inputs[start : start + chunk], False)
         parts.append(out)
-    return np.concatenate(parts, axis=0)
+    logits = np.concatenate(parts, axis=0)
+    loss, _ = softmax_cross_entropy(logits, labels)
+    return loss, float((logits.argmax(axis=1) == labels).mean())
 
 
 def backward(net: NetworkSpec, inputs, targets, loss_fn=softmax_cross_entropy) -> dict:
@@ -251,10 +254,7 @@ def backward(net: NetworkSpec, inputs, targets, loss_fn=softmax_cross_entropy) -
 
 def evaluate(net: NetworkSpec, inputs, labels) -> tuple:
     """(mean cross-entropy, accuracy) over a labeled set."""
-    logits = _chunked_outputs(net, _params(net), _as_batch(inputs, net.input_shape))
-    loss, _ = softmax_cross_entropy(logits, labels)
-    accuracy = float((logits.argmax(axis=1) == labels).mean())
-    return loss, accuracy
+    return _scores(net, _params(net), _as_batch(inputs, net.input_shape), labels)
 
 
 def _run_sgd(net, params, data: Dataset, cfg: TrainConfig, epochs: int):
@@ -280,9 +280,7 @@ def _run_sgd(net, params, data: Dataset, cfg: TrainConfig, epochs: int):
                 rate = cfg.rate_for(layer.name, epoch)
                 for key, grad in grads.items():
                     p[key] = p[key] - rate * grad
-        test_logits = _chunked_outputs(net, params, data.test_x)
-        test_loss, _ = softmax_cross_entropy(test_logits, data.test_y)
-        test_acc = float((test_logits.argmax(axis=1) == data.test_y).mean())
+        test_loss, test_acc = _scores(net, params, data.test_x, data.test_y)
         history.append(
             EpochStats(
                 epoch, cfg.rate_for("", epoch), loss_sum / n, hit_sum / n,
@@ -311,8 +309,19 @@ def finetune(net: NetworkSpec, data: Dataset, cfg: TrainConfig, epochs: int | No
     return NetworkSpec(net.input_shape, layers), history
 
 
-def _stage_seed(base: int, index: int) -> int:
-    return base + 1000003 * (index + 1)
+def _stage_names(net: NetworkSpec, ranks: dict) -> list:
+    """The decomposable layers in order; `ranks` must give each a rank."""
+    names = decomposable_layers(net)
+    missing = [n for n in names if n not in ranks]
+    if missing:
+        raise ValueError(f"ranks missing for layers: {missing}")
+    return names
+
+
+def _factorize(net: NetworkSpec, name: str, rank: int, cfg: TrainConfig, index: int):
+    """`net` with layer `name` factorized, seeded for stage `index`."""
+    seed = cfg.seed + 1000003 * (index + 1)
+    return replace_layer(net, name, decompose_layer(net.layer(name), rank, seed=seed))
 
 
 def iterative_compress(net: NetworkSpec, data: Dataset, ranks: dict, cfg: TrainConfig):
@@ -323,18 +332,10 @@ def iterative_compress(net: NetworkSpec, data: Dataset, ranks: dict, cfg: TrainC
     the log so far is returned with ``diverged`` set and the network as of
     the last completed stage.
     """
-    names = decomposable_layers(net)
-    missing = [n for n in names if n not in ranks]
-    if missing:
-        raise ValueError(f"ranks missing for layers: {missing}")
-
     current = net
     records = []
-    for index, name in enumerate(names):
-        factors = decompose_layer(
-            current.layer(name), ranks[name], seed=_stage_seed(cfg.seed, index)
-        )
-        candidate = replace_layer(current, name, factors)
+    for index, name in enumerate(_stage_names(net, ranks)):
+        candidate = _factorize(current, name, ranks[name], cfg, index)
         pre_loss, pre_acc = evaluate(candidate, data.test_x, data.test_y)
         try:
             candidate, _ = finetune(candidate, data, cfg)
@@ -359,18 +360,11 @@ def oneshot_compress(net: NetworkSpec, data: Dataset, ranks: dict, cfg: TrainCon
     The single fine-tune gets the same total budget iterative_compress
     would spend: epochs_per_stage times the number of stages.
     """
-    names = decomposable_layers(net)
-    missing = [n for n in names if n not in ranks]
-    if missing:
-        raise ValueError(f"ranks missing for layers: {missing}")
-
+    names = _stage_names(net, ranks)
     current = net
     records = []
     for index, name in enumerate(names):
-        factors = decompose_layer(
-            current.layer(name), ranks[name], seed=_stage_seed(cfg.seed, index)
-        )
-        current = replace_layer(current, name, factors)
+        current = _factorize(current, name, ranks[name], cfg, index)
         loss, acc = evaluate(current, data.test_x, data.test_y)
         records.append(StageRecord(name, ranks[name], loss, acc, loss, acc, 0))
 

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
 
 import cpcompress
+import cpcompress.cli
 
 from cpcompress.cli import EXIT_ARGS, EXIT_FILE, EXIT_OK, main
 from cpcompress.network import load
@@ -109,19 +111,70 @@ class TestDecompose:
             "decompose", "--model-in", str(toy_model_path),
             "--ranks-file", str(ranks), "--analytic-only",
         ])
-        capsys.readouterr()
         assert code == EXIT_ARGS
+        assert "unknown layers: ['mystery']" in _one_line_error(capsys)
 
-    def test_rank_budget_uniform_split(self, toy_model_path, capsys):
+    def test_rank_budget_uniform_split(self, toy_model_path, tmp_path, capsys):
+        # allocate_ranks at zero loss: an even split, earlier layers first.
+        out_path = tmp_path / "split.cpnet"
         code = main([
             "decompose", "--model-in", str(toy_model_path),
-            "--rank-budget", "conv=8,fc=9", "--analytic-only",
+            "--rank-budget", "conv=8,fc=9", "--analytic-only", "--model-out", str(out_path),
         ])
         out = capsys.readouterr().out
         assert code == EXIT_OK
         rows = {ln.split("\t")[0]: ln.split("\t") for ln in out.splitlines() if "\t" in ln}
         assert rows["conv1"][1] == "decomposed_conv"
         assert rows["fc1"][1] == "decomposed_fc"
+        net = load(out_path)
+        assert [net.layer(n).ranks for n in ("conv1", "conv2")] == [(4,), (4,)]
+        assert [net.layer(n).rank for n in ("fc1", "fc2")] == [5, 4]
+
+    @pytest.mark.parametrize("budget, words", [
+        ("conv=8", "no budget given for group 'fc'"),
+        ("fc=9", "no budget given for group 'conv'"),
+        ("conv=1,fc=9", "budget 1 for group 'conv' is below its 2 layers"),
+        ("conv=8,fc=0", "budget 0 for group 'fc' is below its 2 layers"),
+        ("conv=8,fc", "bad budget component"),
+    ])
+    def test_refused_rank_budget(self, toy_model_path, capsys, budget, words):
+        code = main([
+            "decompose", "--model-in", str(toy_model_path), "--rank-budget", budget,
+            "--analytic-only",
+        ])
+        assert code == EXIT_ARGS
+        assert words in _one_line_error(capsys)
+
+
+class TestRanksFileNames:
+    """Every path that reads a ranks file refuses names the target network
+    lacks, with exit code 2 (``decompose --model-in``: TestDecompose)."""
+
+    def test_preset_unknown_name(self, tmp_path, capsys):
+        ranks = tmp_path / "ranks.tsv"
+        ranks.write_text("conv1\t60\nconv6\t10\n")
+        code = main([
+            "decompose", "--arch", "alexnet", "--ranks-file", str(ranks), "--analytic-only",
+        ])
+        assert code == EXIT_ARGS
+        assert "unknown layers: ['conv6']" in _one_line_error(capsys)
+
+    @pytest.mark.parametrize("text, words", [
+        ("conv1\t4\nconv2\t8\nfc1\t8\nfc2\t4\nconv9\t3\n", "unknown layers: ['conv9']"),
+        ("conv1\t4\nconv2\t8\nfc1\t8\n", "missing for layers: ['fc2']"),
+    ], ids=["unknown", "missing"])
+    def test_train_refuses_before_baseline_training(
+        self, tmp_path, capsys, monkeypatch, text, words
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("baseline training started")
+
+        monkeypatch.setattr(cpcompress.cli, "finetune", no_training)
+        ranks = tmp_path / "ranks.tsv"
+        ranks.write_text(text)
+        code = main(["train", "--ranks-file", str(ranks)] + FAST_TRAIN)
+        assert code == EXIT_ARGS
+        assert words in _one_line_error(capsys)
 
 
 class TestAllocate:
@@ -317,6 +370,34 @@ class TestModuleEntryPoints:
         )
         assert done.returncode == EXIT_OK, done.stderr
         assert done.stdout == "layer\trank\nfc6\t7\n"
+
+    def test_float_manifest_field_exits_cleanly(self, tmp_path):
+        # A pool window written as 2.0 is refused by the loader: exit 1 and
+        # one error line, not a crash in the forward pass.
+        model = tmp_path / "toy.cpnet"
+        save(toy_cnn(seed=0), model)
+        raw = model.read_bytes()
+        header_end = raw.index(b"\n") + 1
+        size_end = raw.index(b"\n", header_end) + 1
+        length = int(raw[header_end:size_end].split()[0])
+        manifest = json.loads(raw[size_end : size_end + length])
+        for entry in manifest["layers"]:
+            if entry["kind"] == "max_pool":
+                entry["window"] = entry["stride"] = 2.0
+        text = json.dumps(manifest).encode("utf-8")
+        model.write_bytes(
+            raw[:header_end] + b"%d %08x\n" % (len(text), zlib.crc32(text)) + text
+            + raw[size_end + length :]
+        )
+        ranks = tmp_path / "ranks.tsv"
+        ranks.write_text("conv2\t6\n")
+        done = self._run(
+            "cpcompress", "decompose", "--model-in", str(model), "--ranks-file", str(ranks),
+            cwd=tmp_path,
+        )
+        assert done.returncode == EXIT_FILE
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"error: cannot parse {model}")
 
     @pytest.mark.parametrize("module", ["cpcompress", "cpcompress.cli"])
     def test_python_dash_m_exit_code(self, tmp_path, module):

@@ -16,7 +16,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpcompress.network import DecomposedFc, ModelFormatError, NetworkSpec, load, save
+from cpcompress.network import (
+    DecomposedFc,
+    ModelFormatError,
+    NetworkSpec,
+    count_params,
+    forward,
+    load,
+    save,
+)
+from cpcompress.presets import toy_cnn
 from cpcompress.svd import SvdFactors
 from cpcompress.verify import random_network
 
@@ -154,6 +163,10 @@ class TestHostileManifests:
         _assemble(header, manifest, payloads, hostile_path)
         outcome = _load_outcome(hostile_path)
         assert isinstance(outcome, (NetworkSpec, ModelFormatError))
+        if isinstance(outcome, NetworkSpec):
+            # A file that loads is a usable network, not a deferred crash.
+            count_params(outcome)
+            forward(outcome, np.zeros(outcome.input_shape))
 
     @settings(deadline=None, max_examples=100, derandomize=True)
     @given(root=_HOSTILE)
@@ -217,6 +230,54 @@ class TestHostileManifests:
         entry["rank"] = 0
         entry["blobs"][0]["shape"] = [3, 0]
         entry["blobs"][1]["shape"] = [0, 4]
+        bad = tmp_path / "bad.cpnet"
+        _assemble(header, manifest, payloads, bad)
+        with pytest.raises(ModelFormatError):
+            load(bad)
+
+
+def _set_toy_field(manifest, where, value):
+    """Set `where` -- ("input_shape", index), (layer, field) or
+    (layer, "blobs", blob index, shape index) -- in a toy manifest."""
+    if where[0] == "input_shape":
+        manifest["input_shape"][where[1]] = value
+        return
+    entry = next(e for e in manifest["layers"] if e["name"] == where[0])
+    if where[1] == "blobs":
+        entry["blobs"][where[2]]["shape"][where[3]] = value
+    else:
+        entry[where[1]] = value
+
+
+_FLOAT_CASES = [
+    (("pool1", "window"), 2.0),
+    (("pool1", "stride"), 2.0),
+    (("conv1", "groups"), 1.0),
+    (("conv1", "stride"), 1.0),
+    (("conv1", "padding"), 1.5),
+    (("conv2", "kernel_size"), 3.0),
+    (("conv2", "in_channels"), 8.0),
+    (("input_shape", 1), 16.0),
+    (("input_shape", 2), 16.5),
+    (("conv1", "blobs", 0, 0), 8.0),
+    (("fc1", "blobs", 0, 1), 256.5),
+]
+
+
+class TestIntegerFieldsAsFloats:
+    """JSON numbers with a fraction part, or written as floats, are not
+    integers: each must be refused at load, neither truncated nor carried
+    into a layer whose forward pass then fails."""
+
+    @pytest.mark.parametrize(
+        "where, value", _FLOAT_CASES,
+        ids=[".".join(map(str, where)) for where, _ in _FLOAT_CASES],
+    )
+    def test_float_field_raises_format_error(self, tmp_path, where, value):
+        good = tmp_path / "toy.cpnet"
+        save(toy_cnn(0), good)
+        header, manifest, payloads = _parts(good.read_bytes())
+        _set_toy_field(manifest, where, value)
         bad = tmp_path / "bad.cpnet"
         _assemble(header, manifest, payloads, bad)
         with pytest.raises(ModelFormatError):

@@ -29,6 +29,7 @@ from cpcompress.network import (
     save,
     stage_count,
 )
+from cpcompress.presets import toy_cnn
 from cpcompress.svd import SvdFactors
 from cpcompress.train import TrainConfig, finetune
 from cpcompress.verify import corruption_suite, random_network, roundtrip_suite
@@ -257,6 +258,97 @@ class TestGroupedDecomposition:
         factors = decompose_layer(layer, 5, seed=0)
         assert len(factors) == 2
         assert all(f.rank == 3 for f in factors)  # ceil(5 / 2)
+
+
+def _grouped_net():
+    """A two-group convolution, then an fc layer."""
+    rng = np.random.default_rng(3)
+    spec = ConvSpec(6, 4, 3, padding=1, groups=2)
+    return NetworkSpec((4, 6, 6), (
+        Conv("conv", spec, rng.standard_normal(spec.kernel_shape), rng.standard_normal(6)),
+        ReLU("relu"),
+        Flatten("flatten"),
+        Fc("fc", rng.standard_normal((5, 6 * 36)), rng.standard_normal(5)),
+    ))
+
+
+# sha256 of the saved bytes of a network factorized with decompose_layer and
+# replace_layer, one layer after another in the order given, the i-th layer
+# with seed=i.  The factors come from TPM and the SVD, so any change to how a
+# rank becomes factors (per-group ranks and seeds, the kernels themselves)
+# shows here.  The grouped conv's odd rank 5 gives each group rank 3.  Recorded
+# with numpy 2.4 on x86-64; a different BLAS may round differently.
+_FACTORIZED_DIGESTS = {
+    "toy": (toy_cnn, {"conv1": 6, "conv2": 18, "fc1": 12, "fc2": 5},
+            "77e9e5c1d76fe63910445d547da2ae7e2adaddbd6e370131d4a4236f58c78853"),
+    "grouped": (_grouped_net, {"conv": 5, "fc": 3},
+                "b50f610dbc4c5c2566127a46d0b5d0b4db9d7928ac1ddce02ea19f96f2f94cf2"),
+}
+
+
+class TestLayerFactorization:
+    @pytest.mark.parametrize("which", sorted(_FACTORIZED_DIGESTS))
+    def test_factorized_bytes_are_pinned(self, which, tmp_path):
+        build, ranks, digest = _FACTORIZED_DIGESTS[which]
+        net = build()
+        for index, (name, rank) in enumerate(ranks.items()):
+            net = replace_layer(net, name, decompose_layer(net.layer(name), rank, seed=index))
+        path = tmp_path / "model.cpnet"
+        save(net, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_full_rank(self):
+        net = toy_cnn(0)
+        full = {layer.name: layer.full_rank for layer in net.layers if layer.rank_group}
+        # conv: min(S*D*D, S*T, D*D*T) of its kernel; fc: min(M, N).
+        assert full == {"conv1": 24, "conv2": 72, "fc1": 48, "fc2": 10}
+        assert _grouped_net().layer("conv").full_rank == min(2 * 9, 2 * 6, 9 * 6)
+
+    def test_decompose_layer_is_the_layer_member(self):
+        net = _grouped_net()
+        for name, rank in (("conv", 5), ("fc", 3)):
+            layer = net.layer(name)
+            via_function = decompose_layer(layer, rank, seed=4)
+            via_member = layer.decompose(rank, seed=4)
+            assert replace_layer(net, name, via_function) == NetworkSpec(
+                net.input_shape,
+                tuple(layer.factorized(via_member) if l is layer else l for l in net.layers),
+            )
+
+    def test_refusals_keep_their_messages(self):
+        net = _grouped_net()
+        with pytest.raises(ValueError, match="'relu' is not decomposable"):
+            decompose_layer(net.layer("relu"), 2)
+        with pytest.raises(ValueError, match="'relu' is not decomposable"):
+            replace_layer(net, "relu", None)
+        swapped = replace_layer(net, "fc", decompose_layer(net.layer("fc"), 3))
+        with pytest.raises(ValueError, match="'fc' is already decomposed"):
+            replace_layer(swapped, "fc", decompose_layer(net.layer("fc"), 3))
+        with pytest.raises(ValueError, match="not decomposable"):
+            decompose_layer(swapped.layer("fc"), 3)
+        with pytest.raises(ValueError, match="fc replacement needs SvdFactors"):
+            replace_layer(net, "fc", decompose_layer(net.layer("conv"), 2))
+        with pytest.raises(ValueError, match="factor shape mismatch"):
+            replace_layer(net, "fc", SvdFactors(np.ones((5, 1)), np.ones((1, 7))))
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("make", [
+        lambda: ConvSpec(4.0, 2, 3),
+        lambda: ConvSpec(4, 2, 3, groups=1.0),
+        lambda: MaxPool("pool", 2.0, 2),
+        lambda: MaxPool("pool", 2, 1.5),
+        lambda: NetworkSpec((2, 8.0, 8), ()),
+    ], ids=["conv-channels", "conv-groups", "pool-window", "pool-stride", "input-shape"])
+    def test_non_integers_refused(self, make):
+        with pytest.raises(TypeError):
+            make()
+
+    def test_numpy_integers_become_ints(self):
+        spec = ConvSpec(np.int64(4), 2, np.int32(3), groups=np.int64(2))
+        pool = MaxPool("pool", np.int64(2), np.int16(2))
+        for value in (spec.out_channels, spec.kernel_size, spec.groups, pool.window, pool.stride):
+            assert type(value) is int
 
 
 class TestNetworkSpecValidation:
