@@ -45,6 +45,7 @@ from .network import (
     ModelFormatError,
     NetworkSpec,
     ReLU,
+    check_rank,
     conv_ratios,
     count_params,
     decomposable_layers,

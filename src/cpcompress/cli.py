@@ -27,6 +27,7 @@ from .data import make_synthetic_dataset
 from .network import (
     ModelFormatError,
     NetworkSpec,
+    check_rank,
     count_params,
     decompose_layer,
     decomposable_layers,
@@ -147,6 +148,16 @@ def _read_ranks(path, names, complete: bool = False) -> dict:
     return ranks
 
 
+def _check_ranks(net: NetworkSpec, ranks: dict) -> None:
+    """Refuse the first rank outside its layer's bound, before any training
+    or decomposition starts."""
+    try:
+        for name, rank in ranks.items():
+            check_rank(net.layer(name), rank)
+    except ValueError as exc:
+        raise _Refused(EXIT_ARGS, f"invalid ranks: {exc}") from None
+
+
 def _write_ranks(ranks: dict, stream) -> None:
     stream.write("layer\trank\n")
     for name, rank in ranks.items():
@@ -224,6 +235,7 @@ def cmd_decompose(args) -> int:
             ranks = _allocate(flat, args.rank_budget)
         else:
             return _fail(EXIT_ARGS, "need --ranks-file or --rank-budget")
+        _check_ranks(original, ranks)
         # Layers without a rank are left in their original form.
         compressed = original
         for index, name in enumerate(n for n in names if n in ranks):
@@ -296,6 +308,7 @@ def cmd_train(args) -> int:
     untrained = toy_cnn(seed=args.seed)
     if args.ranks_file:
         ranks = _read_ranks(args.ranks_file, decomposable_layers(untrained), complete=True)
+        _check_ranks(untrained, ranks)
     else:
         ranks = {
             layer.name: max(1, math.ceil(args.rank_fraction * layer.full_rank))

@@ -152,7 +152,9 @@ def _fit_rank1_array(
     if not np.any(target):
         return _unit(np.zeros(n0)), _unit(np.zeros(n1)), _unit(np.zeros(n2)), 0.0
 
-    a = _init_mode_vector(target.reshape(n0, -1), rng)
+    # The first sweep computes a from b and c, so a needs no start vector;
+    # its draw is still taken so that the random stream stays the same.
+    rng.standard_normal(n0)
     b = _init_mode_vector(np.moveaxis(target, 1, 0).reshape(n1, -1), rng)
     c = _init_mode_vector(np.moveaxis(target, 2, 0).reshape(n2, -1), rng)
 

@@ -59,6 +59,7 @@ __all__ = [
     "count_params",
     "replace_layer",
     "decompose_layer",
+    "check_rank",
     "stage_count",
     "forward",
     "save",
@@ -67,6 +68,10 @@ __all__ = [
 
 _MAGIC = b"CPNET"
 _FORMAT_VERSION = 1
+
+# Samples per slice of an uncached convolution pass: the default training
+# batch, so an evaluation's transient is no larger than a training step's.
+_CONV_SLICE = 32
 
 
 class _Layer:
@@ -82,7 +87,8 @@ class _Layer:
 
     stages = 1  # computational stages the slot holds
     # "conv" or "fc" on a layer that can still be factorized; such a kind
-    # also has decompose(rank, ...), factorized(factors) and full_rank.
+    # also has decompose(rank, ...), factorized(factors), full_rank and
+    # max_rank.
     rank_group = None
 
     @property
@@ -144,7 +150,28 @@ class _Weighted(_Layer):
 
 
 class _ConvKind(_Weighted):
-    """Shape and manifest fields of the dense and the factorized convolution."""
+    """Shape, manifest fields and forward pass of the dense and the
+    factorized convolution."""
+
+    def forward(self, params, x, cache=None, counter=None):
+        """An uncached pass over more than _CONV_SLICE samples runs that
+        many at a time into one preallocated output, so its patch matrices
+        and intermediates never span the whole batch.  The kernels multiply
+        per sample, so the output is bit-identical to one whole-batch pass;
+        a cached pass stays whole-batch because backward reads whole-batch
+        caches."""
+        if cache is not None or x.shape[0] <= _CONV_SLICE:
+            return super().forward(params, x, cache, counter)
+        bias = params.get("bias")
+        out = np.empty((x.shape[0],) + self.out_shape(x.shape[1:]))
+        for start in range(0, x.shape[0], _CONV_SLICE):
+            part = slice(start, start + _CONV_SLICE)
+            y = self._linear(params, x[part], None, counter)
+            if bias is None:
+                out[part] = y
+            else:
+                np.add(y, bias[:, None, None], out=out[part])
+        return out
 
     def out_shape(self, shape) -> tuple:
         spec = self.spec
@@ -207,9 +234,17 @@ class Conv(_ConvKind):
         t, s_g, d, _ = self.spec.kernel_shape
         return min(s_g * d * d, s_g * t, d * d * t)
 
+    @property
+    def max_rank(self) -> int:
+        """The largest rank decompose takes: each group's ceil(rank / groups)
+        stays within its kernel's trivial bound S_g*D^2*T_g, so the layer's
+        bound is groups times that, the kernel's weight count."""
+        return self.spec.weight_count
+
     def decompose(self, rank, *, seed=0, max_inner_iters=200, tol=1e-8) -> tuple:
         """One CpFactors per channel group, each at rank ceil(rank / groups)
         and seeded with seed + its group index."""
+        check_rank(self, rank)
         groups = self.spec.groups
         t_g = self.spec.out_channels // groups
         return tuple(
@@ -371,9 +406,15 @@ class Fc(_FcKind):
     def full_rank(self) -> int:
         return min(self.out_features, self.in_features)
 
+    @property
+    def max_rank(self) -> int:
+        """The largest rank decompose takes: the truncated SVD's min(M, N)."""
+        return self.full_rank
+
     def decompose(self, rank, *, seed=0, max_inner_iters=200, tol=1e-8) -> SvdFactors:
         """The truncated SVD; it is deterministic, so the seed and the TPM
         settings go unused."""
+        check_rank(self, rank)
         return truncated_svd(self.weights, rank)
 
     def factorized(self, factors):
@@ -727,6 +768,15 @@ def decompose_layer(
     if layer.rank_group is None:
         raise ValueError(f"layer {layer.name!r} is not decomposable")
     return layer.decompose(rank, seed=seed, max_inner_iters=max_inner_iters, tol=tol)
+
+
+def check_rank(layer, rank: int) -> None:
+    """Raise ValueError, naming the layer, unless 1 <= rank <= layer.max_rank,
+    the bound the layer's decompose enforces."""
+    if not 1 <= rank <= layer.max_rank:
+        raise ValueError(
+            f"layer {layer.name!r}: rank must be in [1, {layer.max_rank}], got {rank}"
+        )
 
 
 def replace_layer(net: NetworkSpec, layer_name: str, factors) -> NetworkSpec:

@@ -224,7 +224,14 @@ def batch_outputs(net: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
 
 
 def _scores(net, params, inputs: np.ndarray, labels, chunk: int = 512) -> tuple:
-    """(mean cross-entropy, accuracy), forwarding `chunk` inputs at a time."""
+    """(mean cross-entropy, accuracy), forwarding `chunk` inputs at a time.
+
+    Each layer holds one chunk's activation at once.  Convolutions stream a
+    chunk in fixed slices of their own (``network._CONV_SLICE``), so their
+    patch matrices and intermediates span one slice, not the chunk.  The fc
+    layers take the whole chunk in one product, whose rounding depends on
+    its row count, so the chunk size is part of the scores.
+    """
     parts = []
     for start in range(0, inputs.shape[0], chunk):
         out, _ = _forward(net, params, inputs[start : start + chunk], False)
@@ -338,17 +345,16 @@ def iterative_compress(net: NetworkSpec, data: Dataset, ranks: dict, cfg: TrainC
         candidate = _factorize(current, name, ranks[name], cfg, index)
         pre_loss, pre_acc = evaluate(candidate, data.test_x, data.test_y)
         try:
-            candidate, _ = finetune(candidate, data, cfg)
+            candidate, history = finetune(candidate, data, cfg)
         except DivergedError:
             records.append(
                 StageRecord(name, ranks[name], pre_loss, pre_acc,
                             float("nan"), float("nan"), cfg.epochs_per_stage)
             )
             return current, StageLog(tuple(records), diverged=True)
-        post_loss, post_acc = evaluate(candidate, data.test_x, data.test_y)
         records.append(
-            StageRecord(name, ranks[name], pre_loss, pre_acc, post_loss,
-                        post_acc, cfg.epochs_per_stage)
+            StageRecord(name, ranks[name], pre_loss, pre_acc, history[-1].test_loss,
+                        history[-1].test_accuracy, cfg.epochs_per_stage)
         )
         current = candidate
     return current, StageLog(tuple(records))
@@ -358,9 +364,12 @@ def oneshot_compress(net: NetworkSpec, data: Dataset, ranks: dict, cfg: TrainCon
     """Factorize every layer first, then fine-tune once.
 
     The single fine-tune gets the same total budget iterative_compress
-    would spend: epochs_per_stage times the number of stages.
+    would spend: epochs_per_stage times the number of stages.  A network
+    with no decomposable layers comes back as it is, with an empty log.
     """
     names = _stage_names(net, ranks)
+    if not names:
+        return net, StageLog(())
     current = net
     records = []
     for index, name in enumerate(names):
@@ -370,16 +379,15 @@ def oneshot_compress(net: NetworkSpec, data: Dataset, ranks: dict, cfg: TrainCon
 
     budget = cfg.epochs_per_stage * len(names)
     try:
-        current, _ = finetune(current, data, cfg, epochs=budget)
+        current, history = finetune(current, data, cfg, epochs=budget)
     except DivergedError:
         records.append(
             StageRecord("finetune", 0, records[-1].post_loss,
                         records[-1].post_accuracy, float("nan"), float("nan"), budget)
         )
         return current, StageLog(tuple(records), diverged=True)
-    post_loss, post_acc = evaluate(current, data.test_x, data.test_y)
     records.append(
-        StageRecord("finetune", 0, records[-1].post_loss,
-                    records[-1].post_accuracy, post_loss, post_acc, budget)
+        StageRecord("finetune", 0, records[-1].post_loss, records[-1].post_accuracy,
+                    history[-1].test_loss, history[-1].test_accuracy, budget)
     )
     return current, StageLog(tuple(records))

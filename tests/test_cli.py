@@ -97,6 +97,25 @@ class TestDecompose:
         capsys.readouterr()
         assert code == EXIT_ARGS
 
+    def test_rank_above_bound_refused_before_any_decomposition(
+        self, toy_model_path, tmp_path, capsys, monkeypatch
+    ):
+        def no_decomposition(*args, **kwargs):
+            raise AssertionError("decomposition started")
+
+        monkeypatch.setattr(cpcompress.cli, "decompose_layer", no_decomposition)
+        ranks = tmp_path / "ranks.tsv"
+        # conv1's bound is its 8*3*3*3 = 216 weights: ceil(rank / 1) <= S*D^2*T.
+        for text, words in (("conv1\t4\nfc2\t99\n", "layer 'fc2': rank must be in [1, 10]"),
+                            ("conv1\t217\n", "layer 'conv1': rank must be in [1, 216]")):
+            ranks.write_text(text)
+            code = main([
+                "decompose", "--model-in", str(toy_model_path),
+                "--ranks-file", str(ranks), "--analytic-only",
+            ])
+            assert code == EXIT_ARGS
+            assert words in _one_line_error(capsys)
+
     def test_zero_rank_for_preset_is_an_argument_error(self, tmp_path, capsys):
         ranks = tmp_path / "ranks.tsv"
         ranks.write_text("conv3\t0\n")
@@ -162,7 +181,9 @@ class TestRanksFileNames:
     @pytest.mark.parametrize("text, words", [
         ("conv1\t4\nconv2\t8\nfc1\t8\nfc2\t4\nconv9\t3\n", "unknown layers: ['conv9']"),
         ("conv1\t4\nconv2\t8\nfc1\t8\n", "missing for layers: ['fc2']"),
-    ], ids=["unknown", "missing"])
+        ("conv1\t4\nconv2\t8\nfc1\t8\nfc2\t99\n",
+         "layer 'fc2': rank must be in [1, 10], got 99"),
+    ], ids=["unknown", "missing", "above-bound"])
     def test_train_refuses_before_baseline_training(
         self, tmp_path, capsys, monkeypatch, text, words
     ):

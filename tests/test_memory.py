@@ -1,5 +1,6 @@
 """Memory: each weight array exists once, from the code that makes it to the
-layer that owns it.
+layer that owns it, and an evaluation holds one slice of convolution
+intermediates at a time.
 
 The budgets are traced with ``tracemalloc``, which counts every numpy
 allocation whether or not its pages are ever touched, so they do not depend
@@ -22,8 +23,10 @@ import pytest
 
 import cpcompress
 from cpcompress import network
-from cpcompress.network import ModelFormatError, load, save
-from cpcompress.presets import alexnet
+from cpcompress.data import make_synthetic_dataset
+from cpcompress.network import ModelFormatError, decompose_layer, load, replace_layer, save
+from cpcompress.presets import alexnet, toy_cnn
+from cpcompress.train import evaluate
 from cpcompress.verify import random_network
 
 MiB = 2**20
@@ -104,6 +107,20 @@ class TestAllocationBudget:
         assert done.stdout.splitlines()[-1].startswith("mult_ratio\t")
         max_rss_kib = int(done.stderr.split()[-1])
         assert max_rss_kib < 300 * 1024
+
+
+class TestEvaluationTransient:
+    @pytest.mark.parametrize("ranks", [{}, {"conv1": 6, "conv2": 18, "fc1": 12, "fc2": 5}],
+                             ids=["dense", "factorized"])
+    def test_evaluate_streams_convolutions(self, ranks):
+        # A whole-batch conv1 pass over the 500 test images alone traces
+        # over 40 MiB (its (500, 27, 256) patch matrix is 26 MiB).
+        net = toy_cnn(0)
+        for index, (name, rank) in enumerate(ranks.items()):
+            net = replace_layer(net, name, decompose_layer(net.layer(name), rank, seed=index))
+        data = make_synthetic_dataset(n_train=1, n_test=500, seed=0)
+        _, peak = traced_peak(evaluate, net, data.test_x, data.test_y)
+        assert peak < 20 * MiB
 
 
 class _ShortReads(io.BufferedReader):

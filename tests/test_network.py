@@ -18,6 +18,8 @@ from cpcompress.network import (
     ModelFormatError,
     NetworkSpec,
     ReLU,
+    _CONV_SLICE,
+    check_rank,
     conv_ratios,
     count_params,
     decomposable_layers,
@@ -31,7 +33,7 @@ from cpcompress.network import (
 )
 from cpcompress.presets import toy_cnn
 from cpcompress.svd import SvdFactors
-from cpcompress.train import TrainConfig, finetune
+from cpcompress.train import TrainConfig, _forward, batch_outputs, finetune
 from cpcompress.verify import corruption_suite, random_network, roundtrip_suite
 
 from helpers import gradient_check_net, separated_cp_kernel
@@ -331,6 +333,22 @@ class TestLayerFactorization:
         with pytest.raises(ValueError, match="factor shape mismatch"):
             replace_layer(net, "fc", SvdFactors(np.ones((5, 1)), np.ones((1, 7))))
 
+    def test_rank_bounds_name_the_layer(self):
+        net = _grouped_net()
+        # conv: ceil(rank / 2) within each group's S_g*D^2*T_g = 2*9*3 = 54.
+        bounds = {"conv": 108, "fc": 5}
+        for name, bound in bounds.items():
+            layer = net.layer(name)
+            assert layer.max_rank == bound
+            check_rank(layer, bound)
+            layer.decompose(bound, max_inner_iters=2)
+            for rank in (0, bound + 1):
+                words = rf"layer '{name}': rank must be in \[1, {bound}\], got {rank}"
+                with pytest.raises(ValueError, match=words):
+                    check_rank(layer, rank)
+                with pytest.raises(ValueError, match=words):
+                    decompose_layer(layer, rank)
+
 
 class TestIntegerFields:
     @pytest.mark.parametrize("make", [
@@ -434,6 +452,49 @@ class TestLayerMembers:
         assert set(grads) == set(params)
         for tag, arr in params.items():
             assert grads[tag].shape == arr.shape
+
+
+def _sliced_convs():
+    """Convolutions whose uncached passes run in slices: two groups, stride
+    2, padding 1, each with and without a bias."""
+    rng = np.random.default_rng(44)
+    spec = ConvSpec(6, 4, 3, stride=2, padding=1, groups=2)
+    weights = rng.standard_normal(spec.kernel_shape)
+    factors = tuple(
+        CpFactors(rng.standard_normal((3, 2)), rng.standard_normal((3, 3, 3)),
+                  rng.standard_normal((3, 3)))
+        for _ in range(2)
+    )
+    bias = rng.standard_normal(6)
+    return [
+        pytest.param(Conv("conv", spec, weights, bias), id="conv-bias"),
+        pytest.param(Conv("conv", spec, weights, None), id="conv-no-bias"),
+        pytest.param(DecomposedConv("conv", spec, factors, bias), id="decomposed-bias"),
+        pytest.param(DecomposedConv("conv", spec, factors, None), id="decomposed-no-bias"),
+    ]
+
+
+class TestConvSlicing:
+    @pytest.mark.parametrize("layer", _sliced_convs())
+    def test_uncached_pass_equals_the_whole_batch_pass(self, layer):
+        # Three slices, the last one partial; a cached pass runs whole-batch.
+        x = np.random.default_rng(45).standard_normal((2 * _CONV_SLICE + 3, 4, 9, 9))
+        sliced, whole = MultiplyCounter(), MultiplyCounter()
+        y = layer.forward(layer.params(), x, None, sliced)
+        assert np.array_equal(y, layer.forward(layer.params(), x, {}, whole))
+        assert sliced.count == whole.count == x.shape[0] * layer.counts(x.shape[1:])[3]
+
+    def test_evaluation_logits_equal_training_logits(self):
+        # The trainer's cached pass runs every layer whole-batch; an
+        # evaluation's logits over the 500 test images must match them bit
+        # for bit, so only layers whose arithmetic is per sample may slice.
+        net = toy_cnn(0)
+        for index, (name, rank) in enumerate({"conv2": 18, "fc1": 12}.items()):
+            net = replace_layer(net, name, decompose_layer(net.layer(name), rank, seed=index))
+        x = make_synthetic_dataset(n_train=1, n_test=500, seed=0).test_x
+        evaluated = batch_outputs(net, x)
+        trained, _ = _forward(net, [layer.params() for layer in net.layers], x, True)
+        assert np.array_equal(evaluated, trained)
 
 
 def _array_slots():

@@ -375,6 +375,14 @@ class TestSchedules:
         assert log.records[-1].epochs == 2 * 4
         assert all(r.epochs == 0 for r in log.records[:-1])
 
+    @pytest.mark.parametrize("schedule", [iterative_compress, oneshot_compress],
+                             ids=["iterative", "oneshot"])
+    def test_no_decomposable_layers_is_a_no_op(self, schedule):
+        net = NetworkSpec((3, 16, 16), (MaxPool("pool", window=2, stride=2), Flatten("flatten")))
+        out, log = schedule(net, tiny_dataset(), {}, TrainConfig(seed=0))
+        assert out is net
+        assert log == StageLog(())
+
     def test_missing_rank_rejected(self):
         data = tiny_dataset()
         net = toy_cnn(seed=10)
