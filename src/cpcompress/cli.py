@@ -260,12 +260,12 @@ def _trained_baseline(args, net: NetworkSpec):
         learning_rate=args.baseline_lr, batch_size=args.batch_size,
         lr_step=12, seed=args.seed,
     )
-    net, _ = finetune(net, data, cfg, epochs=args.baseline_epochs)
-    return data, net
+    net, history = finetune(net, data, cfg, epochs=args.baseline_epochs)
+    return data, net, history
 
 
 def cmd_probe(args) -> int:
-    data, net = _trained_baseline(args, toy_cnn(seed=args.seed))
+    data, net, _ = _trained_baseline(args, toy_cnn(seed=args.seed))
 
     def eval_fn(candidate):
         _, acc = evaluate(candidate, data.test_x, data.test_y)
@@ -314,8 +314,12 @@ def cmd_train(args) -> int:
             layer.name: max(1, math.ceil(args.rank_fraction * layer.full_rank))
             for layer in untrained.layers if layer.rank_group is not None
         }
-    data, baseline = _trained_baseline(args, untrained)
-    _, base_acc = evaluate(baseline, data.test_x, data.test_y)
+    data, baseline, history = _trained_baseline(args, untrained)
+    # Each score below is the last epoch's test score where an epoch ran.
+    if history:
+        base_acc = history[-1].test_accuracy
+    else:
+        _, base_acc = evaluate(baseline, data.test_x, data.test_y)
     cfg = TrainConfig(
         learning_rate=args.finetune_lr, batch_size=args.batch_size,
         epochs_per_stage=args.epochs_per_stage, lr_step=args.lr_step,
@@ -327,7 +331,10 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         return _fail(EXIT_ARGS, str(exc))
     sys.stdout.write(log.to_text())
-    _, final_acc = evaluate(net, data.test_x, data.test_y)
+    if log.records and not log.diverged:
+        final_acc = log.records[-1].post_accuracy
+    else:
+        _, final_acc = evaluate(net, data.test_x, data.test_y)
     print(f"baseline_accuracy\t{base_acc!r}")
     print(f"final_accuracy\t{final_acc!r}")
     if args.model_out:

@@ -247,8 +247,9 @@ def batch_conv(x, weights, spec: ConvSpec, cache=None, counter=None) -> np.ndarr
     return np.concatenate(outs, axis=1)
 
 
-def batch_conv_backward(dy, weights, spec: ConvSpec, cache) -> tuple:
-    """(d input, d weights) of batch_conv, from the cache its forward filled."""
+def batch_conv_backward(dy, weights, spec: ConvSpec, cache, input_grad=True) -> tuple:
+    """(d input, d weights) of batch_conv, from the cache its forward filled;
+    d input is None unless input_grad."""
     g = spec.groups
     s_g = spec.in_channels // g
     t_g = spec.out_channels // g
@@ -262,13 +263,15 @@ def batch_conv_backward(dy, weights, spec: ConvSpec, cache) -> tuple:
         dw[gi * t_g : (gi + 1) * t_g] = (
             np.matmul(dy_g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(t_g, s_g, d, d)
         )
+        if not input_grad:
+            continue
         kmat = weights[gi * t_g : (gi + 1) * t_g].reshape(t_g, -1)
         dcols = np.matmul(kmat.T, dy_g)
         bshape = (b, s_g) + cache["x_shape"][2:]
         dx_groups.append(
             _scatter_cols(dcols, bshape, d, spec.stride, spec.padding, wout, hout)
         )
-    return np.concatenate(dx_groups, axis=1), dw
+    return (np.concatenate(dx_groups, axis=1) if input_grad else None), dw
 
 
 def batch_cp_conv(x, factors, spec: ConvSpec, cache=None, counter=None) -> np.ndarray:
@@ -316,8 +319,9 @@ def batch_cp_conv(x, factors, spec: ConvSpec, cache=None, counter=None) -> np.nd
     return np.concatenate(outs, axis=1)
 
 
-def batch_cp_conv_backward(dy, factors, spec: ConvSpec, cache) -> tuple:
-    """(d input, [(d u1, d u2, d u3) per group]) of batch_cp_conv."""
+def batch_cp_conv_backward(dy, factors, spec: ConvSpec, cache, input_grad=True) -> tuple:
+    """(d input, [(d u1, d u2, d u3) per group]) of batch_cp_conv; d input
+    is None unless input_grad."""
     t_g = spec.out_channels // spec.groups
     s_g = spec.in_channels // spec.groups
     d, st, p = spec.kernel_size, spec.stride, spec.padding
@@ -346,8 +350,9 @@ def batch_cp_conv_backward(dy, factors, spec: ConvSpec, cache) -> tuple:
 
         du1 = np.matmul(dz, saved["xg"].transpose(0, 2, 1)).sum(axis=0)
         dfactors.append((du1, du2, du3))
-        dx_groups.append(np.matmul(u1.T, dz).reshape(b, s_g, w, h))
-    return np.concatenate(dx_groups, axis=1), dfactors
+        if input_grad:
+            dx_groups.append(np.matmul(u1.T, dz).reshape(b, s_g, w, h))
+    return (np.concatenate(dx_groups, axis=1) if input_grad else None), dfactors
 
 
 def batch_fc(x, weights, counter=None) -> np.ndarray:
@@ -357,9 +362,10 @@ def batch_fc(x, weights, counter=None) -> np.ndarray:
     return x @ weights.T
 
 
-def batch_fc_backward(dy, weights, x) -> tuple:
-    """(d input, d weights) of batch_fc at input x."""
-    return dy @ weights, dy.T @ x
+def batch_fc_backward(dy, weights, x, input_grad=True) -> tuple:
+    """(d input, d weights) of batch_fc at input x; d input is None unless
+    input_grad."""
+    return (dy @ weights if input_grad else None), dy.T @ x
 
 
 def batch_max_pool(x, window: int, stride: int, cache=None) -> np.ndarray:
@@ -367,20 +373,25 @@ def batch_max_pool(x, window: int, stride: int, cache=None) -> np.ndarray:
     strided views of the input.
 
     With a cache, each window's first maximum in row-major window order
-    (the rule ``argmax`` uses) is recorded for the backward pass."""
+    (the rule ``argmax`` uses) is recorded for the backward pass: view n
+    moves a window's index to n where it is greater than the running
+    maximum.  Every index recorded so far is below n, so that move is
+    max(index, n * greater)."""
     k, s = window, stride
     wout = (x.shape[2] - k) // s + 1
     hout = (x.shape[3] - k) // s + 1
     views = [_strided(x, j, i, s, wout, hout) for j, i in _offsets(k)]
     out = views[0].copy()
-    idx = None if cache is None else np.zeros(out.shape, np.min_scalar_type(k * k - 1))
-    for n, view in enumerate(views[1:], start=1):
-        if idx is not None:
-            np.copyto(idx, n, where=view > out)
-        np.maximum(out, view, out=out)
     if cache is not None:
-        cache["idx"] = idx
+        idx = cache["idx"] = np.zeros(out.shape, np.min_scalar_type(k * k - 1))
         cache["x_shape"] = x.shape
+        greater = np.empty(out.shape, bool)
+        moved = np.empty_like(idx)
+    for n, view in enumerate(views[1:], start=1):
+        if cache is not None:
+            np.greater(view, out, out=greater)
+            np.maximum(idx, np.multiply(greater, idx.dtype.type(n), out=moved), out=idx)
+        np.maximum(out, view, out=out)
     return out
 
 

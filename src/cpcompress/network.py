@@ -68,10 +68,9 @@ __all__ = [
 
 _MAGIC = b"CPNET"
 _FORMAT_VERSION = 1
-
-# Samples per slice of an uncached convolution pass: the default training
-# batch, so an evaluation's transient is no larger than a training step's.
-_CONV_SLICE = 32
+# Values per finiteness check of a loaded blob, so the check's mask stays
+# small beside the largest weight array.
+_FINITE_CHUNK = 1 << 16
 
 
 class _Layer:
@@ -79,13 +78,17 @@ class _Layer:
     parameters and no multiplies.
 
     ``forward(params, x, cache, counter)`` maps a batch to a batch and
-    ``backward(params, dy, cache, grads)`` returns the input gradient and
-    puts the parameter gradients in ``grads``; both take the parameters as
-    a ``params()``-style dict so a trainer can update them in place of the
-    layer's own read-only arrays.
+    ``backward(params, dy, cache, grads, input_grad)`` returns the input
+    gradient and puts the parameter gradients in ``grads``; both take the
+    parameters as a ``params()``-style dict so a trainer can update them in
+    place of the layer's own read-only arrays.  With ``input_grad`` false a
+    layer may skip the input gradient and return None.
     """
 
     stages = 1  # computational stages the slot holds
+    # True when a sample's output is computed from that sample alone, the
+    # same way at any batch size, so a pass may run the batch in slices.
+    per_sample = False
     # "conv" or "fc" on a layer that can still be factorized; such a kind
     # also has decompose(rank, ...), factorized(factors), full_rank and
     # max_rank.
@@ -143,35 +146,17 @@ class _Weighted(_Layer):
             return out
         return out + bias.reshape((-1,) + (1,) * (out.ndim - 2))
 
-    def backward(self, params, dy, cache, grads):
+    def backward(self, params, dy, cache, grads, input_grad=True):
         if "bias" in params:
             grads["bias"] = dy.sum(axis=(0,) + tuple(range(2, dy.ndim)))
-        return self._linear_backward(params, dy, cache, grads)
+        return self._linear_backward(params, dy, cache, grads, input_grad)
 
 
 class _ConvKind(_Weighted):
-    """Shape, manifest fields and forward pass of the dense and the
-    factorized convolution."""
+    """Shape and manifest fields of the dense and the factorized
+    convolution."""
 
-    def forward(self, params, x, cache=None, counter=None):
-        """An uncached pass over more than _CONV_SLICE samples runs that
-        many at a time into one preallocated output, so its patch matrices
-        and intermediates never span the whole batch.  The kernels multiply
-        per sample, so the output is bit-identical to one whole-batch pass;
-        a cached pass stays whole-batch because backward reads whole-batch
-        caches."""
-        if cache is not None or x.shape[0] <= _CONV_SLICE:
-            return super().forward(params, x, cache, counter)
-        bias = params.get("bias")
-        out = np.empty((x.shape[0],) + self.out_shape(x.shape[1:]))
-        for start in range(0, x.shape[0], _CONV_SLICE):
-            part = slice(start, start + _CONV_SLICE)
-            y = self._linear(params, x[part], None, counter)
-            if bias is None:
-                out[part] = y
-            else:
-                np.add(y, bias[:, None, None], out=out[part])
-        return out
+    per_sample = True
 
     def out_shape(self, shape) -> tuple:
         spec = self.spec
@@ -262,9 +247,9 @@ class Conv(_ConvKind):
     def _linear(self, params, x, cache, counter):
         return conv_ops.batch_conv(x, params["weights"], self.spec, cache, counter)
 
-    def _linear_backward(self, params, dy, cache, grads):
+    def _linear_backward(self, params, dy, cache, grads, input_grad):
         dx, grads["weights"] = conv_ops.batch_conv_backward(
-            dy, params["weights"], self.spec, cache
+            dy, params["weights"], self.spec, cache, input_grad
         )
         return dx
 
@@ -343,9 +328,9 @@ class DecomposedConv(_ConvKind):
     def _linear(self, params, x, cache, counter):
         return conv_ops.batch_cp_conv(x, self._factors(params), self.spec, cache, counter)
 
-    def _linear_backward(self, params, dy, cache, grads):
+    def _linear_backward(self, params, dy, cache, grads, input_grad):
         dx, dfactors = conv_ops.batch_cp_conv_backward(
-            dy, self._factors(params), self.spec, cache
+            dy, self._factors(params), self.spec, cache, input_grad
         )
         for gi, (du1, du2, du3) in enumerate(dfactors):
             grads[f"u1.{gi}"], grads[f"u2.{gi}"], grads[f"u3.{gi}"] = du1, du2, du3
@@ -429,8 +414,10 @@ class Fc(_FcKind):
             cache["x"] = x
         return conv_ops.batch_fc(x, params["weights"], counter)
 
-    def _linear_backward(self, params, dy, cache, grads):
-        dx, grads["weights"] = conv_ops.batch_fc_backward(dy, params["weights"], cache["x"])
+    def _linear_backward(self, params, dy, cache, grads, input_grad):
+        dx, grads["weights"] = conv_ops.batch_fc_backward(
+            dy, params["weights"], cache["x"], input_grad
+        )
         return dx
 
 
@@ -482,9 +469,11 @@ class DecomposedFc(_FcKind):
             cache["hidden"] = hidden
         return conv_ops.batch_fc(hidden, params["ud"], counter)
 
-    def _linear_backward(self, params, dy, cache, grads):
+    def _linear_backward(self, params, dy, cache, grads, input_grad):
         dhidden, grads["ud"] = conv_ops.batch_fc_backward(dy, params["ud"], cache["hidden"])
-        dx, grads["vt"] = conv_ops.batch_fc_backward(dhidden, params["vt"], cache["x"])
+        dx, grads["vt"] = conv_ops.batch_fc_backward(
+            dhidden, params["vt"], cache["x"], input_grad
+        )
         return dx
 
 
@@ -493,6 +482,7 @@ class ReLU(_Layer):
     name: str
 
     kind = "relu"
+    per_sample = True
 
     def out_shape(self, shape) -> tuple:
         return shape
@@ -502,7 +492,7 @@ class ReLU(_Layer):
             cache["mask"] = x > 0.0
         return np.maximum(x, 0.0)
 
-    def backward(self, params, dy, cache, grads):
+    def backward(self, params, dy, cache, grads, input_grad=True):
         return dy * cache["mask"]
 
 
@@ -517,6 +507,7 @@ class MaxPool(_Layer):
 
     kind = "max_pool"
     report_kind = "maxpool"
+    per_sample = True
 
     def __post_init__(self):
         object.__setattr__(self, "window", operator.index(self.window))
@@ -546,7 +537,7 @@ class MaxPool(_Layer):
     def forward(self, params, x, cache=None, counter=None):
         return conv_ops.batch_max_pool(x, self.window, self.stride, cache)
 
-    def backward(self, params, dy, cache, grads):
+    def backward(self, params, dy, cache, grads, input_grad=True):
         return conv_ops.batch_max_pool_backward(dy, self.window, self.stride, cache)
 
 
@@ -555,6 +546,7 @@ class Flatten(_Layer):
     name: str
 
     kind = "flatten"
+    per_sample = True
 
     def out_shape(self, shape) -> tuple:
         return (int(np.prod(shape)),)
@@ -564,7 +556,7 @@ class Flatten(_Layer):
             cache["shape"] = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, params, dy, cache, grads):
+    def backward(self, params, dy, cache, grads, input_grad=True):
         return dy.reshape(cache["shape"])
 
 
@@ -901,6 +893,10 @@ def _read_blob(fh, shape, tag: str) -> np.ndarray:
         )
     if zlib.crc32(arr) != crc:
         raise ModelFormatError(f"checksum mismatch in blob {tag!r}", offset)
+    flat = arr.reshape(-1)
+    for start in range(0, flat.size, _FINITE_CHUNK):
+        if not np.isfinite(flat[start : start + _FINITE_CHUNK]).all():
+            raise ModelFormatError(f"blob {tag!r} holds non-finite values", offset)
     return _freeze(arr)
 
 

@@ -182,15 +182,50 @@ def mean_squared_error(outputs: np.ndarray, targets: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+# Samples per slice of an uncached pass: the default training batch, so an
+# evaluation's transient is no larger than a training step's.
+_SLICE = 32
+
+
 def _params(net: NetworkSpec) -> list:
     """One dict of named parameter arrays per layer (the layers' own arrays)."""
     return [layer.params() for layer in net.layers]
 
 
+def _sliced(layers: list, x) -> np.ndarray:
+    """`x` through (layer, params) pairs, _SLICE samples at a time, each
+    slice's output written into one array for the whole batch."""
+    out = None
+    for start in range(0, x.shape[0], _SLICE):
+        part = slice(start, start + _SLICE)
+        value = x[part]
+        for layer, p in layers:
+            value = layer.forward(p, value)
+        if out is None:
+            out = np.empty((x.shape[0],) + value.shape[1:], value.dtype)
+        out[part] = value
+    return out
+
+
 def _forward(net: NetworkSpec, params: list, x, with_cache: bool):
-    caches = []
-    value = x
-    for layer, p in zip(net.layers, params):
+    """(output, per-layer caches) of a batch.
+
+    An uncached pass over more than _SLICE samples runs the leading
+    per-sample layers (``per_sample``) one slice at a time, so their patch
+    matrices and activations span one slice, not the batch; their arithmetic
+    is per sample, so the output is bit-identical to a whole-batch pass.
+    The layers after them, and every cached pass, take the whole batch:
+    backward reads whole-batch caches, and an fc product rounds differently
+    with its row count.
+    """
+    layers = list(zip(net.layers, params))
+    lead = 0
+    if not with_cache and x.shape[0] > _SLICE:
+        while lead < len(layers) and layers[lead][0].per_sample:
+            lead += 1
+    value = _sliced(layers[:lead], x) if lead else x
+    caches = [None] * lead
+    for layer, p in layers[lead:]:
         cache = {} if with_cache else None
         value = layer.forward(p, value, cache)
         caches.append(cache)
@@ -200,12 +235,15 @@ def _forward(net: NetworkSpec, params: list, x, with_cache: bool):
 
 
 def _backward(net: NetworkSpec, params: list, caches, dout) -> list:
-    """Per-layer gradient dicts, in network order."""
+    """Per-layer gradient dicts, in network order.  Nothing reads the first
+    layer's input gradient, so that layer is told to skip it."""
     grads = []
     dvalue = dout
-    for layer, p, cache in zip(reversed(net.layers), reversed(params), reversed(caches)):
+    for index in reversed(range(len(net.layers))):
         layer_grads = {}
-        dvalue = layer.backward(p, dvalue, cache, layer_grads)
+        dvalue = net.layers[index].backward(
+            params[index], dvalue, caches[index], layer_grads, input_grad=index > 0
+        )
         grads.append(layer_grads)
     return grads[::-1]
 
@@ -226,9 +264,8 @@ def batch_outputs(net: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
 def _scores(net, params, inputs: np.ndarray, labels, chunk: int = 512) -> tuple:
     """(mean cross-entropy, accuracy), forwarding `chunk` inputs at a time.
 
-    Each layer holds one chunk's activation at once.  Convolutions stream a
-    chunk in fixed slices of their own (``network._CONV_SLICE``), so their
-    patch matrices and intermediates span one slice, not the chunk.  The fc
+    ``_forward`` streams a chunk through the leading per-sample layers in
+    slices of ``_SLICE``, so only their output spans the chunk.  The fc
     layers take the whole chunk in one product, whose rounding depends on
     its row count, so the chunk size is part of the scores.
     """

@@ -13,7 +13,7 @@ import cpcompress
 import cpcompress.cli
 
 from cpcompress.cli import EXIT_ARGS, EXIT_FILE, EXIT_OK, main
-from cpcompress.network import load
+from cpcompress.network import NetworkSpec, load
 from cpcompress.presets import toy_cnn
 from cpcompress.network import save
 
@@ -53,6 +53,27 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert code == EXIT_FILE
         assert "/nope/missing.cpnet" in err
+
+    @pytest.mark.parametrize("layer", ["conv1", "fc1"])
+    def test_non_finite_model_is_a_file_error(self, tmp_path, capsys, layer):
+        # A checksum-valid file with a NaN in conv1 once exited 2 blaming the
+        # conv1 rank, or 0 with a report for a NaN network when fc1 was named.
+        net = toy_cnn(seed=0)
+        conv1 = net.layer("conv1")
+        weights = conv1.weights.copy()
+        weights[0, 0, 0, 0] = float("nan")
+        nan_conv1 = conv1.with_params({**conv1.params(), "weights": weights})
+        layers = tuple(nan_conv1 if layer is conv1 else layer for layer in net.layers)
+        model = tmp_path / "nan.cpnet"
+        save(NetworkSpec(net.input_shape, layers), model)
+        ranks = tmp_path / "ranks.tsv"
+        ranks.write_text(f"{layer}\t4\n")
+        code = main(["decompose", "--model-in", str(model), "--ranks-file", str(ranks)])
+        captured = capsys.readouterr()
+        assert code == EXIT_FILE
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "non-finite" in captured.err
 
     def test_empty_ranks_leaves_ratios_at_one(self, toy_model_path, tmp_path, capsys):
         ranks = tmp_path / "ranks.tsv"

@@ -1,8 +1,20 @@
 """Built-in synthetic task: determinism, balance, separability."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from cpcompress.data import make_synthetic_dataset
+
+# sha256 over train_x, train_y, test_x, test_y, recorded when the noise was
+# one whole-split draw.  203 and 77 are not multiples of the noise block.
+_PINNED_DIGESTS = {
+    (0, 2000, 500): "bf7a5724b9019b18b42d67818a768817400a2ffb81b7acfd44e79d4f0f28f643",
+    (0, 203, 77): "87ae7493707186da5431896a210cb9049914f73d8e28df59ee6301fdadd7011e",
+    (1, 2000, 500): "93d27351325065ecd9971da130647dc423191a9b67744fab5c8b4a09b33ba243",
+    (1, 203, 77): "24f606dd3f67d8a990a005c70140774c8028c793a773ce43907b953aa6c18534",
+}
 
 
 class TestSyntheticDataset:
@@ -43,3 +55,11 @@ class TestSyntheticDataset:
             sims[i] = -np.inf
             hits += data.train_y[np.argmax(sims)] == data.train_y[i]
         assert hits >= 95  # phase jitter leaves a little slack
+
+    @pytest.mark.parametrize("seed, n_train, n_test", sorted(_PINNED_DIGESTS))
+    def test_pinned_digest(self, seed, n_train, n_test):
+        data = make_synthetic_dataset(n_train=n_train, n_test=n_test, seed=seed)
+        digest = hashlib.sha256()
+        for arr in (data.train_x, data.train_y, data.test_x, data.test_y):
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == _PINNED_DIGESTS[(seed, n_train, n_test)]

@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpcompress.network import (
+    _FINITE_CHUNK,
     DecomposedFc,
+    Fc,
     ModelFormatError,
     NetworkSpec,
     count_params,
@@ -234,6 +236,38 @@ class TestHostileManifests:
         _assemble(header, manifest, payloads, bad)
         with pytest.raises(ModelFormatError):
             load(bad)
+
+
+class TestNonFiniteBlobs:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_value_raises_format_error(self, saved_model, tmp_path, value):
+        # Every blob of every layer kind, one at a time, with one value
+        # replaced and the checksum recomputed over the new bytes.
+        net, (header, manifest, payloads) = saved_model
+        blob_layers = [e for e in manifest["layers"] for _ in e["blobs"]]
+        assert len(blob_layers) == len(payloads)
+        path = tmp_path / "hostile.cpnet"
+        for index in range(len(payloads)):
+            values = np.frombuffer(payloads[index], dtype="<f8").copy()
+            values[len(values) // 2] = value
+            damaged = list(payloads)
+            damaged[index] = values.tobytes()
+            _assemble(header, manifest, damaged, path)
+            with pytest.raises(ModelFormatError, match="non-finite"):
+                load(path)
+        assert {e["kind"] for e in blob_layers} == {
+            layer.kind for layer in net.layers if layer.params()
+        }
+
+    def test_non_finite_value_in_a_later_check_chunk(self, tmp_path):
+        # The check runs in chunks; a NaN in the last, partial one is found.
+        n = 2 * _FINITE_CHUNK + 3
+        weights = np.ones((1, n))
+        weights[0, -1] = np.nan
+        path = tmp_path / "hostile.cpnet"
+        save(NetworkSpec((n,), (Fc("head", weights),)), path)
+        with pytest.raises(ModelFormatError, match="non-finite"):
+            load(path)
 
 
 def _set_toy_field(manifest, where, value):

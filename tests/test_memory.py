@@ -1,6 +1,7 @@
 """Memory: each weight array exists once, from the code that makes it to the
-layer that owns it, and an evaluation holds one slice of convolution
-intermediates at a time.
+layer that owns it, an evaluation holds one slice of per-sample layer
+intermediates at a time, and the dataset build holds little beyond the
+arrays it returns.
 
 The budgets are traced with ``tracemalloc``, which counts every numpy
 allocation whether or not its pages are ever touched, so they do not depend
@@ -114,13 +115,24 @@ class TestEvaluationTransient:
                              ids=["dense", "factorized"])
     def test_evaluate_streams_convolutions(self, ranks):
         # A whole-batch conv1 pass over the 500 test images alone traces
-        # over 40 MiB (its (500, 27, 256) patch matrix is 26 MiB).
+        # over 40 MiB (its (500, 27, 256) patch matrix is 26 MiB).  Streaming
+        # only the convolutions left 15.6 MiB, mostly whole-batch ReLU and
+        # pool activations; streamed up to the fc layers, only the (500, 256)
+        # flattened activation spans the batch.
         net = toy_cnn(0)
         for index, (name, rank) in enumerate(ranks.items()):
             net = replace_layer(net, name, decompose_layer(net.layer(name), rank, seed=index))
         data = make_synthetic_dataset(n_train=1, n_test=500, seed=0)
         _, peak = traced_peak(evaluate, net, data.test_x, data.test_y)
-        assert peak < 20 * MiB
+        assert peak < 6 * MiB
+
+
+class TestDatasetBuild:
+    def test_noise_has_no_whole_split_temporary(self):
+        # One whole-split noise draw traced 1.6x the arrays returned.
+        data, peak = traced_peak(make_synthetic_dataset, 2000, 500)
+        arrays = (data.train_x, data.train_y, data.test_x, data.test_y)
+        assert peak <= 1.1 * sum(arr.nbytes for arr in arrays)
 
 
 class _ShortReads(io.BufferedReader):

@@ -18,7 +18,6 @@ from cpcompress.network import (
     ModelFormatError,
     NetworkSpec,
     ReLU,
-    _CONV_SLICE,
     check_rank,
     conv_ratios,
     count_params,
@@ -33,7 +32,7 @@ from cpcompress.network import (
 )
 from cpcompress.presets import toy_cnn
 from cpcompress.svd import SvdFactors
-from cpcompress.train import TrainConfig, _forward, batch_outputs, finetune
+from cpcompress.train import _SLICE, TrainConfig, _forward, batch_outputs, finetune
 from cpcompress.verify import corruption_suite, random_network, roundtrip_suite
 
 from helpers import gradient_check_net, separated_cp_kernel
@@ -453,10 +452,31 @@ class TestLayerMembers:
         for tag, arr in params.items():
             assert grads[tag].shape == arr.shape
 
+    @pytest.mark.parametrize("kind", _LAYER_KINDS)
+    def test_backward_without_input_gradient(self, kind):
+        # A layer told to skip its input gradient computes the same parameter
+        # gradients; a weighted kind returns None for the input gradient.
+        layer, in_shape = _layer_of_kind(kind)
+        rng = np.random.default_rng(46)
+        params = layer.params()
+        x = rng.standard_normal((2,) + in_shape)
+        cache = {}
+        dy = rng.standard_normal(layer.forward(params, x, cache).shape)
+        full, skipped = {}, {}
+        layer.backward(params, dy, cache, full)
+        dx = layer.backward(params, dy, cache, skipped, input_grad=False)
+        assert set(skipped) == set(full)
+        for tag, grad in full.items():
+            assert np.array_equal(skipped[tag], grad)
+        if params:
+            assert dx is None
 
-def _sliced_convs():
-    """Convolutions whose uncached passes run in slices: two groups, stride
-    2, padding 1, each with and without a bias."""
+
+def _sliced_nets():
+    """Nets whose uncached passes run in slices up to their fc head: a
+    convolution with two groups, stride 2 and padding 1, dense or
+    factorized, each with and without a bias, then ReLU, MaxPool(3, 2) and
+    Flatten."""
     rng = np.random.default_rng(44)
     spec = ConvSpec(6, 4, 3, stride=2, padding=1, groups=2)
     weights = rng.standard_normal(spec.kernel_shape)
@@ -466,23 +486,27 @@ def _sliced_convs():
         for _ in range(2)
     )
     bias = rng.standard_normal(6)
+    head = Fc("fc", rng.standard_normal((5, 24)), rng.standard_normal(5))
+
+    def net(conv):
+        layers = (conv, ReLU("relu"), MaxPool("pool", 3, 2), Flatten("flat"), head)
+        return NetworkSpec((4, 9, 9), layers)
+
     return [
-        pytest.param(Conv("conv", spec, weights, bias), id="conv-bias"),
-        pytest.param(Conv("conv", spec, weights, None), id="conv-no-bias"),
-        pytest.param(DecomposedConv("conv", spec, factors, bias), id="decomposed-bias"),
-        pytest.param(DecomposedConv("conv", spec, factors, None), id="decomposed-no-bias"),
+        pytest.param(net(Conv("conv", spec, weights, bias)), id="conv-bias"),
+        pytest.param(net(Conv("conv", spec, weights, None)), id="conv-no-bias"),
+        pytest.param(net(DecomposedConv("conv", spec, factors, bias)), id="decomposed-bias"),
+        pytest.param(net(DecomposedConv("conv", spec, factors, None)), id="decomposed-no-bias"),
     ]
 
 
 class TestConvSlicing:
-    @pytest.mark.parametrize("layer", _sliced_convs())
-    def test_uncached_pass_equals_the_whole_batch_pass(self, layer):
+    @pytest.mark.parametrize("net", _sliced_nets())
+    def test_uncached_network_pass_equals_the_cached_pass(self, net):
         # Three slices, the last one partial; a cached pass runs whole-batch.
-        x = np.random.default_rng(45).standard_normal((2 * _CONV_SLICE + 3, 4, 9, 9))
-        sliced, whole = MultiplyCounter(), MultiplyCounter()
-        y = layer.forward(layer.params(), x, None, sliced)
-        assert np.array_equal(y, layer.forward(layer.params(), x, {}, whole))
-        assert sliced.count == whole.count == x.shape[0] * layer.counts(x.shape[1:])[3]
+        x = np.random.default_rng(45).standard_normal((2 * _SLICE + 3, 4, 9, 9))
+        cached, _ = _forward(net, [layer.params() for layer in net.layers], x, True)
+        assert np.array_equal(batch_outputs(net, x), cached)
 
     def test_evaluation_logits_equal_training_logits(self):
         # The trainer's cached pass runs every layer whole-batch; an
@@ -491,6 +515,14 @@ class TestConvSlicing:
         net = toy_cnn(0)
         for index, (name, rank) in enumerate({"conv2": 18, "fc1": 12}.items()):
             net = replace_layer(net, name, decompose_layer(net.layer(name), rank, seed=index))
+        self._assert_logits_equal(net)
+
+    def test_dense_evaluation_logits_equal_training_logits(self):
+        # A dense fc1 heads the fc layers here, so streaming it would show.
+        self._assert_logits_equal(toy_cnn(0))
+
+    @staticmethod
+    def _assert_logits_equal(net):
         x = make_synthetic_dataset(n_train=1, n_test=500, seed=0).test_x
         evaluated = batch_outputs(net, x)
         trained, _ = _forward(net, [layer.params() for layer in net.layers], x, True)

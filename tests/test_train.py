@@ -184,6 +184,46 @@ class TestMaxPoolTies:
         corner[:, : s * out.shape[2] : s, : s * out.shape[3] : s] = True
         assert not np.any(dx[-1][~corner])
 
+    def test_nan_stops_the_index_at_the_running_maximum(self):
+        # A window's index moves only to a value greater than its running
+        # maximum, and a NaN makes that maximum NaN: the window's output is
+        # NaN and its gradient goes to the maximum before the first NaN.
+        nan = np.nan
+        windows = [
+            [1.0, nan, 3.0, 2.0],  # NaN after the first element: index 0
+            [nan, 5.0, 1.0, 2.0],  # NaN first: index 0
+            [1.0, 4.0, nan, 9.0],  # 4 moves it, 9 comes after the NaN: index 1
+            [2.0, 7.0, 7.0, 1.0],  # no NaN, a tie: the first 7, index 1
+        ]
+        x = np.empty((1, 1, 2, 8))
+        for n, window in enumerate(windows):
+            x[0, 0, :, 2 * n : 2 * n + 2] = np.reshape(window, (2, 2))
+        pool = MaxPool("pool", window=2, stride=2)
+        cache = {}
+        out = pool.forward({}, x, cache)
+        np.testing.assert_array_equal(out[0, 0, 0], [nan, nan, nan, 7.0])
+        np.testing.assert_array_equal(pool.forward({}, x), out)
+        assert cache["idx"][0, 0, 0].tolist() == [0, 0, 1, 1]
+        dx = pool.backward({}, np.ones(out.shape), cache, {})
+        want = np.zeros(x.shape)
+        want[0, 0, 0, [0, 2, 5, 7]] = 1.0
+        np.testing.assert_array_equal(dx, want)
+
+
+class TestFirstLayerInputGradient:
+    def test_first_layer_is_not_asked_for_its_input_gradient(self, monkeypatch):
+        net = toy_cnn(0)
+        asked = {}
+        for cls in {type(layer) for layer in net.layers}:
+            def spy(self, params, dy, cache, grads, input_grad=True, _backward=cls.backward):
+                asked[self.name] = input_grad
+                return _backward(self, params, dy, cache, grads, input_grad)
+
+            monkeypatch.setattr(cls, "backward", spy)
+        data = tiny_dataset()
+        backward(net, data.train_x[:4], data.train_y[:4])
+        assert asked == {layer.name: layer.name != "conv1" for layer in net.layers}
+
 
 class TestFinetune:
     def test_zero_epochs_is_identity(self):
