@@ -46,11 +46,9 @@ from .network import (
     NetworkSpec,
     ReLU,
     check_rank,
-    conv_ratios,
     count_params,
     decomposable_layers,
     decompose_layer,
-    fc_ratios,
     forward,
     load,
     replace_layer,

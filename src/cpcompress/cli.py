@@ -10,8 +10,9 @@ Reports go to stdout as tab-separated tables; diagnostics go to stderr.
 Exit codes: 0 success, 1 unreadable/missing file, 2 invalid ranks or
 arguments, 3 training diverged, 4 verification failure.
 
-Defaults live in ``DEFAULTS`` and can be overridden by a JSON config file
-(``--config``), which is in turn overridden by explicit flags.
+Each numeric setting is declared once, in ``_SETTINGS``; ``DEFAULTS`` holds
+their built-in values.  A JSON config file (``--config``) overrides those,
+and explicit flags override both.
 """
 
 import argparse
@@ -47,20 +48,27 @@ from .train import (
 )
 from .verify import corruption_suite, equivalence_suite, roundtrip_suite
 
-DEFAULTS = {
-    "seed": 0,
-    "probe_rank": 5,
-    "probe_epochs": 1,
-    "baseline_epochs": 16,
-    "baseline_lr": 0.05,
-    "finetune_lr": 0.02,
-    "epochs_per_stage": 4,
-    "lr_step": 3,
-    "batch_size": 32,
-    "rank_fraction": 0.25,
-    "verify_cases": 200,
-    "verify_trips": 100,
+# Each numeric setting, declared once: (built-in default, least value,
+# subcommands that take it as a flag).  The default's type is the setting's
+# type.  A real has no least value: it must be positive and finite, and the
+# rank fraction at most 1.
+_ALL = ("decompose", "probe", "allocate", "train", "verify")
+_TRAINING = ("probe", "train")
+_SETTINGS = {
+    "seed": (0, 0, _ALL),
+    "probe_rank": (5, 1, ("probe",)),
+    "probe_epochs": (1, 0, ("probe",)),
+    "baseline_epochs": (16, 0, _TRAINING),
+    "baseline_lr": (0.05, None, _TRAINING),
+    "finetune_lr": (0.02, None, _TRAINING),
+    "epochs_per_stage": (4, 1, ("train",)),
+    "lr_step": (3, 1, _TRAINING),
+    "batch_size": (32, 1, _TRAINING),
+    "rank_fraction": (0.25, None, ("train",)),
+    "verify_cases": (200, 0, ("verify",)),
+    "verify_trips": (100, 0, ("verify",)),
 }
+DEFAULTS = {name: default for name, (default, _, _) in _SETTINGS.items()}
 
 EXIT_OK = 0
 EXIT_FILE = 1
@@ -68,48 +76,39 @@ EXIT_ARGS = 2
 EXIT_DIVERGED = 3
 EXIT_VERIFY = 4
 
-# Lowest value of each integer setting; the rates and the rank fraction
-# must be positive and finite, and the fraction at most 1.
-_INT_FLOORS = {
-    "seed": 0,
-    "probe_rank": 1,
-    "probe_epochs": 0,
-    "baseline_epochs": 0,
-    "epochs_per_stage": 1,
-    "lr_step": 1,
-    "batch_size": 1,
-    "verify_cases": 0,
-    "verify_trips": 0,
-}
-_POSITIVE_REALS = ("baseline_lr", "finetune_lr", "rank_fraction")
-
 
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
 
 
-def _bad_setting(args):
-    """One-line complaint about the first out-of-range numeric setting, or None.
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _bad_setting(settings: dict):
+    """One-line complaint about the first out-of-range numeric setting in
+    `settings`, or None.
 
     Flags are parsed by argparse, but config-file values arrive as raw JSON,
-    so the type is checked too.
+    so the type is checked too: a bool is not an integer, nor a string a
+    number.
     """
-    settings = vars(args)
-    for name, floor in _INT_FLOORS.items():
-        value = settings.get(name, floor)
-        if isinstance(value, bool) or not isinstance(value, int) or value < floor:
-            return f"--{name.replace('_', '-')} must be an integer >= {floor}, got {value!r}"
-    for name in _POSITIVE_REALS:
-        value = settings.get(name, 1.0)
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not (math.isfinite(value) and value > 0)
+    for name, (_, least, _) in _SETTINGS.items():
+        if name not in settings:
+            continue
+        value = settings[name]
+        if least is not None:
+            if type(value) is not int or value < least:
+                return f"{_flag(name)} must be an integer >= {least}, got {value!r}"
+        elif (
+            type(value) not in (int, float)
+            # False for NaN, the infinities and ints too large for a float.
+            or not 0 < value <= sys.float_info.max
             or (name == "rank_fraction" and value > 1)
         ):
             limit = "in (0, 1]" if name == "rank_fraction" else "a positive number"
-            return f"--{name.replace('_', '-')} must be {limit}, got {value!r}"
+            return f"{_flag(name)} must be {limit}, got {value!r}"
     return None
 
 
@@ -204,15 +203,14 @@ def _print_comparison(original: NetworkSpec, compressed: NetworkSpec, instrument
 
 
 def cmd_decompose(args) -> int:
+    """factorize a model and report savings"""
     if args.arch == "alexnet":
         original = alexnet()
         ranks = dict(ALEXNET_DEFAULT_RANKS)
         if args.ranks_file:
             ranks.update(_read_ranks(args.ranks_file, decomposable_layers(original)))
-        try:
-            compressed = alexnet_decomposed(ranks)
-        except ValueError as exc:
-            return _fail(EXIT_ARGS, f"invalid ranks: {exc}")
+        _check_ranks(original, ranks)
+        compressed = alexnet_decomposed(ranks)
     else:
         if not args.model_in:
             return _fail(EXIT_ARGS, "need a model file (--model-in) or --arch alexnet")
@@ -265,6 +263,7 @@ def _trained_baseline(args, net: NetworkSpec):
 
 
 def cmd_probe(args) -> int:
+    """sensitivity table on the built-in task"""
     data, net, _ = _trained_baseline(args, toy_cnn(seed=args.seed))
 
     def eval_fn(candidate):
@@ -287,6 +286,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_allocate(args) -> int:
+    """turn a sensitivity report into ranks"""
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             report = SensitivityReport.from_table(fh.read())
@@ -304,6 +304,7 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    """run a compression schedule on the built-in task"""
     # Ranks are settled on the untrained net, which has the trained one's shapes.
     untrained = toy_cnn(seed=args.seed)
     if args.ranks_file:
@@ -345,6 +346,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """randomized equivalence and round-trip suites"""
     failed = False
     eq = equivalence_suite(cases=args.verify_cases, seed=args.seed)
     status = "ok" if eq.passed else "FAIL"
@@ -366,6 +368,15 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
+_COMMANDS = {
+    "decompose": cmd_decompose,
+    "probe": cmd_probe,
+    "allocate": cmd_allocate,
+    "train": cmd_train,
+    "verify": cmd_verify,
+}
+
+
 def build_parser(defaults: dict) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpcompress",
@@ -375,11 +386,8 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON file overriding built-in defaults")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=defaults["seed"])
-
-    p = sub.add_parser("decompose", help="factorize a model and report savings")
-    common(p)
+    commands = {name: sub.add_parser(name, help=fn.__doc__) for name, fn in _COMMANDS.items()}
+    p = commands["decompose"]
     p.add_argument("--model-in", help="input model file")
     p.add_argument("--model-out", help="where to write the factorized model")
     p.add_argument("--arch", choices=["alexnet"], help="use a built-in preset")
@@ -388,50 +396,20 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
     p.add_argument("--analytic-only", action="store_true",
                    help="skip the instrumented forward pass")
 
-    p = sub.add_parser("probe", help="sensitivity table on the built-in task")
-    common(p)
-    p.add_argument("--probe-rank", type=int, default=defaults["probe_rank"])
-    p.add_argument("--probe-epochs", type=int, default=defaults["probe_epochs"])
-    p.add_argument("--baseline-epochs", type=int, default=defaults["baseline_epochs"])
-    p.add_argument("--baseline-lr", type=float, default=defaults["baseline_lr"])
-    p.add_argument("--finetune-lr", type=float, default=defaults["finetune_lr"])
-    p.add_argument("--lr-step", type=int, default=defaults["lr_step"])
-    p.add_argument("--batch-size", type=int, default=defaults["batch_size"])
-
-    p = sub.add_parser("allocate", help="turn a sensitivity report into ranks")
-    common(p)
+    p = commands["allocate"]
     p.add_argument("--report", required=True, help="sensitivity table file")
     p.add_argument("--budget", required=True, help="e.g. conv=750,fc=900")
     p.add_argument("--out", help="ranks file to write (default stdout)")
 
-    p = sub.add_parser("train", help="run a compression schedule on the built-in task")
-    common(p)
+    p = commands["train"]
     p.add_argument("--schedule", choices=["iterative", "oneshot"], default="iterative")
     p.add_argument("--ranks-file")
-    p.add_argument("--rank-fraction", type=float, default=defaults["rank_fraction"])
-    p.add_argument("--baseline-epochs", type=int, default=defaults["baseline_epochs"])
-    p.add_argument("--baseline-lr", type=float, default=defaults["baseline_lr"])
-    p.add_argument("--finetune-lr", type=float, default=defaults["finetune_lr"])
-    p.add_argument("--epochs-per-stage", type=int, default=defaults["epochs_per_stage"])
-    p.add_argument("--lr-step", type=int, default=defaults["lr_step"])
-    p.add_argument("--batch-size", type=int, default=defaults["batch_size"])
     p.add_argument("--model-out")
 
-    p = sub.add_parser("verify", help="randomized equivalence and round-trip suites")
-    common(p)
-    p.add_argument("--verify-cases", type=int, default=defaults["verify_cases"])
-    p.add_argument("--verify-trips", type=int, default=defaults["verify_trips"])
-
+    for name, (default, _, names) in _SETTINGS.items():
+        for command in names:
+            commands[command].add_argument(_flag(name), type=type(default), default=defaults[name])
     return parser
-
-
-_COMMANDS = {
-    "decompose": cmd_decompose,
-    "probe": cmd_probe,
-    "allocate": cmd_allocate,
-    "train": cmd_train,
-    "verify": cmd_verify,
-}
 
 
 def _config_path(argv):
@@ -456,25 +434,26 @@ def main(argv=None) -> int:
             with open(config, "r", encoding="utf-8") as fh:
                 overlay = json.load(fh)
         except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_FILE
+            return _fail(EXIT_FILE, f"cannot read config: {exc}")
         except ValueError as exc:  # bad JSON or bad UTF-8
-            print(f"error: bad config: {exc}", file=sys.stderr)
-            return EXIT_ARGS
+            return _fail(EXIT_ARGS, f"bad config: {exc}")
         if not isinstance(overlay, dict):
-            print("error: bad config: expected a JSON object", file=sys.stderr)
-            return EXIT_ARGS
+            return _fail(EXIT_ARGS, "bad config: expected a JSON object")
         unknown = set(overlay) - set(defaults)
         if unknown:
-            print(f"error: unknown config keys {sorted(unknown)}", file=sys.stderr)
-            return EXIT_ARGS
+            return _fail(EXIT_ARGS, f"unknown config keys {sorted(unknown)}")
+        # Checked here, whether or not the subcommand takes the setting, so
+        # argparse never converts or blames a config value.
+        problem = _bad_setting(overlay)
+        if problem:
+            return _fail(EXIT_ARGS, problem)
         defaults.update(overlay)
     parser = build_parser(defaults)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ARGS if exc.code else EXIT_OK
-    problem = _bad_setting(args)
+    problem = _bad_setting(vars(args))
     if problem:
         return _fail(EXIT_ARGS, problem)
     try:

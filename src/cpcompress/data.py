@@ -11,7 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Dataset", "make_synthetic_dataset"]
+__all__ = ["Dataset", "make_synthetic_dataset", "TOY_INPUT_SHAPE", "TOY_CLASSES"]
+
+# The task's image shape (channels, width, height) and class count.
+TOY_INPUT_SHAPE = (3, 16, 16)
+TOY_CLASSES = 10
 
 
 @dataclass(frozen=True)
@@ -26,13 +30,13 @@ class Dataset:
         return int(self.train_y.max()) + 1
 
 
-def _class_params(k: int, n_classes: int):
+def _class_params(k: int):
     orientation = np.pi * (k % 5) / 5.0
-    frequency = 2.0 if k < n_classes // 2 else 3.5
+    frequency = 2.0 if k < TOY_CLASSES // 2 else 3.5
     mix = np.array([
-        0.6 + 0.4 * np.cos(2 * np.pi * k / n_classes),
-        0.6 + 0.4 * np.cos(2 * np.pi * k / n_classes + 2.1),
-        0.6 + 0.4 * np.cos(2 * np.pi * k / n_classes + 4.2),
+        0.6 + 0.4 * np.cos(2 * np.pi * k / TOY_CLASSES),
+        0.6 + 0.4 * np.cos(2 * np.pi * k / TOY_CLASSES + 2.1),
+        0.6 + 0.4 * np.cos(2 * np.pi * k / TOY_CLASSES + 4.2),
     ])
     return orientation, frequency, mix / np.linalg.norm(mix)
 
@@ -42,15 +46,16 @@ def _class_params(k: int, n_classes: int):
 _NOISE_BLOCK = 64
 
 
-def _render(labels, size, n_classes, noise, rng):
+def _render(labels, noise, rng):
     n = labels.size
+    size = TOY_INPUT_SHAPE[-1]
     grid = np.arange(size) / size
     yy, xx = np.meshgrid(grid, grid, indexing="ij")
-    images = np.empty((n, 3, size, size))
+    images = np.empty((n,) + TOY_INPUT_SHAPE)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
     amplitudes = rng.uniform(0.75, 1.25, size=n)
     for i, label in enumerate(labels):
-        orientation, frequency, mix = _class_params(int(label), n_classes)
+        orientation, frequency, mix = _class_params(int(label))
         axis = xx * np.cos(orientation) + yy * np.sin(orientation)
         grating = np.sin(2.0 * np.pi * frequency * axis + phases[i])
         images[i] = amplitudes[i] * mix[:, None, None] * grating
@@ -63,8 +68,6 @@ def _render(labels, size, n_classes, noise, rng):
 def make_synthetic_dataset(
     n_train: int = 2000,
     n_test: int = 500,
-    size: int = 16,
-    n_classes: int = 10,
     noise: float = 1.0,
     seed: int = 0,
 ) -> Dataset:
@@ -72,9 +75,9 @@ def make_synthetic_dataset(
     rng = np.random.default_rng(seed)
 
     def split(count):
-        labels = np.arange(count) % n_classes
+        labels = np.arange(count) % TOY_CLASSES
         labels = rng.permutation(labels)
-        return _render(labels, size, n_classes, noise, rng), labels.astype(np.int64)
+        return _render(labels, noise, rng), labels.astype(np.int64)
 
     train_x, train_y = split(n_train)
     test_x, test_y = split(n_test)

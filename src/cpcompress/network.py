@@ -54,8 +54,6 @@ __all__ = [
     "LayerReport",
     "CompressionReport",
     "ModelFormatError",
-    "conv_ratios",
-    "fc_ratios",
     "count_params",
     "replace_layer",
     "decompose_layer",
@@ -636,25 +634,6 @@ def forward(net: NetworkSpec, x, counter: MultiplyCounter | None = None) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def conv_ratios(spec: ConvSpec, rank: int, w: int, h: int, wout: int, hout: int):
-    """(weight ratio, multiply ratio) of factorizing one ungrouped convolution."""
-    if rank < 1 or w < 1 or h < 1 or wout < 1 or hout < 1:
-        raise ValueError("dimensions must be positive")
-    t, s, d = spec.out_channels, spec.in_channels, spec.kernel_size
-    e = (t * s * d * d) / (rank * s + rank * d * d + t * rank)
-    c = (t * s * d * d * wout * hout) / (
-        rank * s * w * h + rank * d * d * wout * hout + t * rank * wout * hout
-    )
-    return e, c
-
-
-def fc_ratios(m: int, n: int, rank: int) -> float:
-    """Weight ratio (= multiply ratio) of splitting one fully connected layer."""
-    if m < 1 or n < 1 or rank < 1:
-        raise ValueError("dimensions must be positive")
-    return (m * n) / (m * rank + rank * n)
-
-
 @dataclass(frozen=True)
 class LayerReport:
     name: str
@@ -963,7 +942,9 @@ def load(path) -> NetworkSpec:
             manifest = json.loads(raw.decode("utf-8"))
         except (ValueError, RecursionError) as exc:
             raise ModelFormatError(f"manifest is not valid JSON: {exc}", offset) from exc
-        _read_exact(fh, 1, "manifest terminator")
+        end = fh.tell()
+        if _read_exact(fh, 1, "manifest terminator") != b"\n":
+            raise ModelFormatError("manifest is not followed by a newline", end)
 
         try:
             input_shape = tuple(map(operator.index, manifest["input_shape"]))

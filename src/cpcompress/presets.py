@@ -28,6 +28,7 @@ import numpy as np
 
 from .conv import ConvSpec
 from .cp import CpFactors
+from .data import TOY_CLASSES, TOY_INPUT_SHAPE
 from .network import (
     Conv,
     DecomposedConv,
@@ -147,11 +148,8 @@ def alexnet_decomposed(ranks: dict | None = None) -> NetworkSpec:
 
 
 # ---------------------------------------------------------------------------
-# desk-scale network
+# desk-scale network (TOY_INPUT_SHAPE and TOY_CLASSES are the built-in task's)
 # ---------------------------------------------------------------------------
-
-TOY_INPUT_SHAPE = (3, 16, 16)
-TOY_CLASSES = 10
 
 
 def _he_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:

@@ -83,7 +83,7 @@ def _round_robin_order(n: int) -> np.ndarray:
     return order
 
 
-def _jacobi_orthogonalize(a: np.ndarray, tol: float = _JACOBI_TOL):
+def _jacobi_orthogonalize(a: np.ndarray):
     """Rotate column pairs of `a` (m >= n) until all are mutually orthogonal.
 
     Returns (a, v) with a = original @ v, columns of a orthogonal and v
@@ -115,7 +115,7 @@ def _jacobi_orthogonalize(a: np.ndarray, tol: float = _JACOBI_TOL):
             live = np.flatnonzero(
                 (alpha != 0.0)
                 & (beta != 0.0)
-                & (np.abs(gamma) > tol * np.sqrt(alpha * beta))
+                & (np.abs(gamma) > _JACOBI_TOL * np.sqrt(alpha * beta))
             )
             if live.size:
                 zeta = (beta[live] - alpha[live]) / (2.0 * gamma[live])

@@ -21,7 +21,7 @@ once at the end with the same total epoch budget; it exists as the baseline
 the iterative schedule is measured against.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,14 +58,12 @@ class DivergedError(RuntimeError):
 class TrainConfig:
     """SGD settings.
 
-    learning_rate applies to every layer unless overridden by name in
-    lr_overrides.  The rate decays by a factor of 10 every lr_step epochs
-    within one fine-tuning run.  epochs_per_stage is the budget each
-    compression stage gets.
+    learning_rate applies to every layer.  It decays by a factor of 10 every
+    lr_step epochs within one fine-tuning run.  epochs_per_stage is the
+    budget each compression stage gets.
     """
 
     learning_rate: float = 0.05
-    lr_overrides: dict = field(default_factory=dict)
     batch_size: int = 32
     epochs_per_stage: int = 4
     lr_step: int = 20
@@ -76,12 +74,9 @@ class TrainConfig:
             raise ValueError("learning_rate and batch_size must be positive")
         if self.epochs_per_stage < 1 or self.lr_step < 1:
             raise ValueError("epochs_per_stage and lr_step must be >= 1")
-        if any(lr <= 0 for lr in self.lr_overrides.values()):
-            raise ValueError("lr overrides must be positive")
 
-    def rate_for(self, layer_name: str, epoch: int) -> float:
-        base = self.lr_overrides.get(layer_name, self.learning_rate)
-        return base * 0.1 ** (epoch // self.lr_step)
+    def rate_for(self, epoch: int) -> float:
+        return self.learning_rate * 0.1 ** (epoch // self.lr_step)
 
 
 @dataclass(frozen=True)
@@ -185,6 +180,11 @@ def mean_squared_error(outputs: np.ndarray, targets: np.ndarray):
 # Samples per slice of an uncached pass: the default training batch, so an
 # evaluation's transient is no larger than a training step's.
 _SLICE = 32
+# Inputs per forward of a scoring pass.  ``_forward`` streams a chunk through
+# the leading per-sample layers in slices of ``_SLICE``, so only their output
+# spans the chunk.  The fc layers take the whole chunk in one product, whose
+# rounding depends on its row count, so the chunk size is part of the scores.
+_SCORE_CHUNK = 512
 
 
 def _params(net: NetworkSpec) -> list:
@@ -261,17 +261,11 @@ def batch_outputs(net: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scores(net, params, inputs: np.ndarray, labels, chunk: int = 512) -> tuple:
-    """(mean cross-entropy, accuracy), forwarding `chunk` inputs at a time.
-
-    ``_forward`` streams a chunk through the leading per-sample layers in
-    slices of ``_SLICE``, so only their output spans the chunk.  The fc
-    layers take the whole chunk in one product, whose rounding depends on
-    its row count, so the chunk size is part of the scores.
-    """
+def _scores(net, params, inputs: np.ndarray, labels) -> tuple:
+    """(mean cross-entropy, accuracy), forwarding _SCORE_CHUNK inputs at a time."""
     parts = []
-    for start in range(0, inputs.shape[0], chunk):
-        out, _ = _forward(net, params, inputs[start : start + chunk], False)
+    for start in range(0, inputs.shape[0], _SCORE_CHUNK):
+        out, _ = _forward(net, params, inputs[start : start + _SCORE_CHUNK], False)
         parts.append(out)
     logits = np.concatenate(parts, axis=0)
     loss, _ = softmax_cross_entropy(logits, labels)
@@ -306,6 +300,7 @@ def _run_sgd(net, params, data: Dataset, cfg: TrainConfig, epochs: int):
     n = data.train_x.shape[0]
     history = []
     for epoch in range(epochs):
+        rate = cfg.rate_for(epoch)
         order = rng.permutation(n)
         loss_sum = 0.0
         hit_sum = 0
@@ -320,16 +315,12 @@ def _run_sgd(net, params, data: Dataset, cfg: TrainConfig, epochs: int):
             loss_sum += loss * batch.size
             hit_sum += int((out.argmax(axis=1) == yb).sum())
             per_layer = _backward(net, params, caches, dout)
-            for layer, p, grads in zip(net.layers, params, per_layer):
-                rate = cfg.rate_for(layer.name, epoch)
+            for p, grads in zip(params, per_layer):
                 for key, grad in grads.items():
                     p[key] = p[key] - rate * grad
         test_loss, test_acc = _scores(net, params, data.test_x, data.test_y)
         history.append(
-            EpochStats(
-                epoch, cfg.rate_for("", epoch), loss_sum / n, hit_sum / n,
-                test_loss, test_acc,
-            )
+            EpochStats(epoch, rate, loss_sum / n, hit_sum / n, test_loss, test_acc)
         )
     return history
 

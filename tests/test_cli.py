@@ -137,6 +137,15 @@ class TestDecompose:
             assert code == EXIT_ARGS
             assert words in _one_line_error(capsys)
 
+    def test_preset_rank_above_bound_is_an_argument_error(self, tmp_path, capsys):
+        # fc8 is 1000 x 4096; a rank of 5000 once exited 0 with a report.
+        ranks = tmp_path / "ranks.tsv"
+        ranks.write_text("fc8\t1001\n")
+        code = main(["decompose", "--arch", "alexnet", "--ranks-file", str(ranks),
+                     "--analytic-only"])
+        assert code == EXIT_ARGS
+        assert "layer 'fc8': rank must be in [1, 1000], got 1001" in _one_line_error(capsys)
+
     def test_zero_rank_for_preset_is_an_argument_error(self, tmp_path, capsys):
         ranks = tmp_path / "ranks.tsv"
         ranks.write_text("conv3\t0\n")
@@ -362,7 +371,12 @@ class TestNumericSettings:
     @pytest.mark.parametrize(
         "overlay",
         [{"batch_size": 0}, {"batch_size": 2.5}, {"batch_size": True},
-         {"batch_size": None}, {"finetune_lr": 0}],
+         {"batch_size": None}, {"finetune_lr": 0},
+         # Strings are not numbers, and a setting the subcommand does not
+         # take is checked all the same.
+         {"verify_cases": "3"}, {"verify_cases": "x"},
+         # Too large for a float: this once crashed the range check.
+         {"finetune_lr": 10**400}],
     )
     def test_out_of_range_config(self, tmp_path, capsys, command, overlay):
         cfg = tmp_path / "config.json"
@@ -377,6 +391,33 @@ class TestNumericSettings:
         cfg.write_text(text, errors="surrogateescape")
         assert main(["--config", str(cfg), "verify"]) == EXIT_ARGS
         assert "bad config" in _one_line_error(capsys)
+
+    def test_settings_table(self):
+        # The built-in defaults, and the subcommands each setting is a flag on.
+        assert cpcompress.cli.DEFAULTS == {
+            "seed": 0, "probe_rank": 5, "probe_epochs": 1, "baseline_epochs": 16,
+            "baseline_lr": 0.05, "finetune_lr": 0.02, "epochs_per_stage": 4,
+            "lr_step": 3, "batch_size": 32, "rank_fraction": 0.25,
+            "verify_cases": 200, "verify_trips": 100,
+        }
+        table = cpcompress.cli._SETTINGS
+        assert cpcompress.cli.DEFAULTS == {name: entry[0] for name, entry in table.items()}
+        training = {"seed", "baseline_epochs", "baseline_lr", "finetune_lr", "lr_step",
+                    "batch_size"}
+        expected = {
+            "decompose": {"seed"},
+            "probe": training | {"probe_rank", "probe_epochs"},
+            "allocate": {"seed"},
+            "train": training | {"epochs_per_stage", "rank_fraction"},
+            "verify": {"seed", "verify_cases", "verify_trips"},
+        }
+        parser = cpcompress.cli.build_parser(cpcompress.cli.DEFAULTS)
+        required = {"allocate": ["--report", "r.tsv", "--budget", "fc=1"]}
+        for command, names in expected.items():
+            args = parser.parse_args([command] + required.get(command, []))
+            assert {n for n in vars(args) if n in table} == names
+            assert {n for n, entry in table.items() if command in entry[2]} == names
+            assert all(getattr(args, n) == table[n][0] for n in names)
 
     def test_probe_rank_above_layer_bound(self, capsys):
         code = main([

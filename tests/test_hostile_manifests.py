@@ -213,6 +213,24 @@ class TestHostileManifests:
         with pytest.raises(ModelFormatError, match="truncated"):
             load(path)
 
+    def test_manifest_terminator_must_be_a_newline(self, saved_model, tmp_path):
+        # The byte after the manifest is outside both checksums; it once
+        # loaded as anything and compared equal.
+        net, _ = saved_model
+        good = tmp_path / "good.cpnet"
+        save(net, good)
+        raw = bytearray(good.read_bytes())
+        header_end = raw.index(b"\n") + 1
+        size_end = raw.index(b"\n", header_end) + 1
+        end = size_end + int(raw[header_end:size_end].split()[0])
+        assert raw[end : end + 1] == b"\n"
+        raw[end : end + 1] = b"X"
+        bad = tmp_path / "bad.cpnet"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(ModelFormatError) as caught:
+            load(bad)
+        assert caught.value.offset == end
+
     def test_deeply_nested_manifest(self, saved_model, tmp_path):
         _, (header, _, _) = saved_model
         raw = b"[" * 100_000 + b"]" * 100_000

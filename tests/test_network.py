@@ -19,11 +19,9 @@ from cpcompress.network import (
     NetworkSpec,
     ReLU,
     check_rank,
-    conv_ratios,
     count_params,
     decomposable_layers,
     decompose_layer,
-    fc_ratios,
     forward,
     load,
     replace_layer,
@@ -55,34 +53,55 @@ def small_net(rng):
     )
 
 
+def _conv_row(spec: ConvSpec, rank: int, extent: int):
+    """count_params row of one ungrouped convolution factorized at `rank`,
+    on a square input of side `extent`."""
+    d = spec.kernel_size
+    factors = CpFactors(np.zeros((rank, spec.in_channels)), np.zeros((rank, d, d)),
+                        np.zeros((spec.out_channels, rank)))
+    layer = DecomposedConv("conv", spec, factors)
+    (row,) = count_params(NetworkSpec((spec.in_channels, extent, extent), (layer,))).rows
+    return row
+
+
+def _fc_row(m: int, n: int, rank: int):
+    """count_params row of one m x n fully connected layer split at `rank`."""
+    layer = DecomposedFc("fc", SvdFactors(np.zeros((m, rank)), np.zeros((rank, n))))
+    (row,) = count_params(NetworkSpec((n,), (layer,))).rows
+    return row
+
+
 class TestRatios:
+    """The closed forms E and C, as count_params reports them for one
+    factorized layer."""
+
     def test_conv_weight_ratio(self):
-        spec = ConvSpec(64, 32, 3)
-        e, _ = conv_ratios(spec, rank=16, w=8, h=8, wout=6, hout=6)
-        assert e == pytest.approx(18432 / 1680, rel=1e-12)
+        row = _conv_row(ConvSpec(64, 32, 3), rank=16, extent=8)
+        assert row.param_ratio == pytest.approx(18432 / 1680, rel=1e-12)
 
     def test_conv_break_even(self):
-        spec = ConvSpec(3, 2, 1)
-        e, c = conv_ratios(spec, rank=1, w=4, h=4, wout=4, hout=4)
-        assert e == 1.0
-        assert c == 1.0
+        row = _conv_row(ConvSpec(3, 2, 1), rank=1, extent=4)
+        assert row.param_ratio == 1.0
+        assert row.mult_ratio == 1.0
 
     def test_first_layer_reference_dims(self):
-        spec = ConvSpec(96, 3, 11, stride=4)
-        e, c = conv_ratios(spec, rank=69, w=227, h=227, wout=55, hout=55)
-        assert e == pytest.approx(34848 / 15180, rel=1e-12)
-        assert c == pytest.approx(105_415_200 / 55_959_828, rel=1e-12)
+        row = _conv_row(ConvSpec(96, 3, 11, stride=4), rank=69, extent=227)
+        assert (row.original_params, row.compressed_params) == (34848, 15180)
+        assert (row.original_mults, row.compressed_mults) == (105_415_200, 55_959_828)
+        assert row.param_ratio == pytest.approx(34848 / 15180, rel=1e-12)
+        assert row.mult_ratio == pytest.approx(105_415_200 / 55_959_828, rel=1e-12)
 
     def test_fc_ratio(self):
-        assert fc_ratios(1000, 1000, 100) == pytest.approx(5.0, rel=1e-12)
+        assert _fc_row(1000, 1000, 100).param_ratio == pytest.approx(5.0, rel=1e-12)
 
     def test_fc_break_even(self):
-        assert fc_ratios(2, 2, 1) == 1.0
+        row = _fc_row(2, 2, 1)
+        assert row.param_ratio == row.mult_ratio == 1.0
 
     def test_fc_reference_dims(self):
-        assert fc_ratios(4096, 4096, 275) == pytest.approx(
-            16_777_216 / 2_252_800, rel=1e-12
-        )
+        row = _fc_row(4096, 4096, 275)
+        assert row.param_ratio == pytest.approx(16_777_216 / 2_252_800, rel=1e-12)
+        assert row.mult_ratio == row.param_ratio
 
 
 class TestCountParams:

@@ -307,15 +307,10 @@ class TestFinetune:
 
     def test_learning_rate_decay_schedule(self):
         cfg = TrainConfig(learning_rate=0.1, lr_step=2, seed=0)
-        assert cfg.rate_for("any", 0) == pytest.approx(0.1)
-        assert cfg.rate_for("any", 1) == pytest.approx(0.1)
-        assert cfg.rate_for("any", 2) == pytest.approx(0.01)
-        assert cfg.rate_for("any", 4) == pytest.approx(0.001)
-
-    def test_layer_group_overrides(self):
-        cfg = TrainConfig(learning_rate=0.1, lr_overrides={"conv1": 0.5}, seed=0)
-        assert cfg.rate_for("conv1", 0) == pytest.approx(0.5)
-        assert cfg.rate_for("conv2", 0) == pytest.approx(0.1)
+        assert cfg.rate_for(0) == pytest.approx(0.1)
+        assert cfg.rate_for(1) == pytest.approx(0.1)
+        assert cfg.rate_for(2) == pytest.approx(0.01)
+        assert cfg.rate_for(4) == pytest.approx(0.001)
 
     def test_linearly_separable_task_reaches_full_train_accuracy(self):
         rng = np.random.default_rng(5)
