@@ -90,9 +90,9 @@ def _bad_setting(settings: dict):
     """One-line complaint about the first out-of-range numeric setting in
     `settings`, or None.
 
-    Flags are parsed by argparse, but config-file values arrive as raw JSON,
-    so the type is checked too: a bool is not an integer, nor a string a
-    number.
+    Config-file values arrive as raw JSON and flags as text that
+    ``_typed_flags`` may have left unconverted, so the type is checked too:
+    a bool is not an integer, nor a string a number.
     """
     for name, (_, least, _) in _SETTINGS.items():
         if name not in settings:
@@ -110,6 +110,24 @@ def _bad_setting(settings: dict):
             limit = "in (0, 1]" if name == "rank_fraction" else "a positive number"
             return f"{_flag(name)} must be {limit}, got {value!r}"
     return None
+
+
+def _typed_flags(values: dict) -> dict:
+    """`values` with each numeric flag's text converted to its setting's
+    type.  Text that does not convert, or converts to an out-of-range value,
+    stays text, so that ``_bad_setting`` quotes it as it was typed."""
+    typed = dict(values)
+    for name, (default, _, _) in _SETTINGS.items():
+        text = values.get(name)
+        if not isinstance(text, str):
+            continue  # not given: the default, already checked
+        try:
+            value = type(default)(text)
+        except ValueError:
+            continue
+        if _bad_setting({name: value}) is None:
+            typed[name] = value
+    return typed
 
 
 class _Refused(Exception):
@@ -408,7 +426,9 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
 
     for name, (default, _, names) in _SETTINGS.items():
         for command in names:
-            commands[command].add_argument(_flag(name), type=type(default), default=defaults[name])
+            # No type=: main converts the text, so a malformed value gets
+            # the same one-line error as an out-of-range one.
+            commands[command].add_argument(_flag(name), default=defaults[name])
     return parser
 
 
@@ -453,9 +473,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_ARGS if exc.code else EXIT_OK
-    problem = _bad_setting(vars(args))
+    settings = _typed_flags(vars(args))
+    problem = _bad_setting(settings)
     if problem:
         return _fail(EXIT_ARGS, problem)
+    args = argparse.Namespace(**settings)
     try:
         return _COMMANDS[args.command](args)
     except _Refused as exc:

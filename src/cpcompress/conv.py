@@ -203,6 +203,23 @@ def _strided(x: np.ndarray, j: int, i: int, stride: int, wout: int, hout: int,
     )
 
 
+def _group_rows(out: np.ndarray, gi: int, n: int) -> np.ndarray:
+    """Channels [gi*n, (gi+1)*n) of a (B, C, W, H) array as a (B, n, W*H)
+    view, for a matmul to write one group's output in place."""
+    b, _, w, h = out.shape
+    return out[:, gi * n : (gi + 1) * n].reshape(b, n, w * h)
+
+
+def _tiled_taps(u2: np.ndarray, length: int) -> np.ndarray:
+    """(D, D, length, R): each kernel offset's R depthwise taps repeated
+    along a row, so that a row of a channels-last view and its taps share
+    one contiguous inner loop."""
+    r, d, _ = u2.shape
+    taps = np.empty((d, d, length, r))
+    taps[...] = u2.transpose(1, 2, 0)[:, :, None, :]
+    return taps
+
+
 def _scatter_cols(dcols, shape, d, stride, p, wout, hout):
     """Adjoint of _batch_patches: accumulate patch gradients back onto the
     (unpadded) input.  Summation order is fixed: kernel offsets in row-major
@@ -230,7 +247,7 @@ def batch_conv(x, weights, spec: ConvSpec, cache=None, counter=None) -> np.ndarr
     s_g = spec.in_channels // g
     t_g = spec.out_channels // g
     xpad = _pad_batch(x, spec.padding)
-    outs = []
+    out = np.empty((b, spec.out_channels, wout, hout))
     cols_all = []
     for gi in range(g):
         cols = _batch_patches(
@@ -238,13 +255,13 @@ def batch_conv(x, weights, spec: ConvSpec, cache=None, counter=None) -> np.ndarr
             wout, hout,
         )
         kmat = weights[gi * t_g : (gi + 1) * t_g].reshape(t_g, -1)
-        outs.append(np.matmul(kmat, cols).reshape(b, t_g, wout, hout))
+        np.matmul(kmat, cols, out=_group_rows(out, gi, t_g))
         _count(counter, t_g * cols.size)
         cols_all.append(cols)
     if cache is not None:
         cache["cols"] = cols_all
         cache["x_shape"] = x.shape
-    return np.concatenate(outs, axis=1)
+    return out
 
 
 def batch_conv_backward(dy, weights, spec: ConvSpec, cache, input_grad=True) -> tuple:
@@ -289,17 +306,15 @@ def batch_cp_conv(x, factors, spec: ConvSpec, cache=None, counter=None) -> np.nd
     wout, hout = spec.output_extent(w), spec.output_extent(h)
     s_g = spec.in_channels // spec.groups
     d, st, p = spec.kernel_size, spec.stride, spec.padding
-    outs = []
+    t_g = spec.out_channels // spec.groups
+    out = np.empty((b, spec.out_channels, wout, hout))
     saved = []
     for gi, (u1, u2, u3) in enumerate(factors):
         r = u2.shape[0]
         xg = x[:, gi * s_g : (gi + 1) * s_g].reshape(b, s_g, w * h)
         z = np.matmul(xg.transpose(0, 2, 1), u1.T).reshape(b, w, h, r)
         zpad = _pad_batch(z, p, axis=1)
-        # Each offset's filter taps, tiled along H so that a stride-1 view
-        # and its taps share one contiguous (H, R) inner loop.
-        taps = np.empty(u2.shape[1:] + (hout, r))
-        taps[...] = u2.transpose(1, 2, 0)[:, :, None, :]
+        taps = _tiled_taps(u2, hout)
         z2 = _strided(zpad, 0, 0, st, wout, hout, axis=1) * taps[0, 0]
         term = np.empty_like(z2)
         for j, i in _offsets(d)[1:]:
@@ -307,16 +322,42 @@ def batch_cp_conv(x, factors, spec: ConvSpec, cache=None, counter=None) -> np.nd
                 _strided(zpad, j, i, st, wout, hout, axis=1), taps[j, i], out=term
             )
         z2 = z2.reshape(b, wout * hout, r)
-        outs.append(
-            np.matmul(u3, z2.transpose(0, 2, 1)).reshape(b, -1, wout, hout)
-        )
+        np.matmul(u3, z2.transpose(0, 2, 1), out=_group_rows(out, gi, t_g))
         _count(counter, r * xg.size + d * d * z2.size + u3.shape[0] * z2.size)
         if cache is not None:
-            saved.append({"xg": xg, "zpad": zpad, "taps": taps, "z2": z2})
+            saved.append({"xg": xg, "zpad": zpad, "z2": z2})
     if cache is not None:
         cache["groups"] = saved
         cache["hw"] = (w, h)
-    return np.concatenate(outs, axis=1)
+    return out
+
+
+def _depthwise_input_grad(dz2, u2, spec: ConvSpec, w: int, h: int) -> np.ndarray:
+    """(B, W, H, R) input gradient of the depthwise stage from its
+    (B, Wout, Hout, R) output gradient dz2, as a gather.
+
+    Input position (y, x) adds, over the kernel offsets (j, i) in row-major
+    order, tap (j, i) times dz2 dilated by the stride at (y + p - j,
+    x + p - i).  The dilated gradient sits in a zero buffer with a margin of
+    D - 1 - p (when positive) on each side, so every offset reads one
+    (W, H) window of it.  Off the stride grid and in the margin it is zero,
+    so each position sums the terms a scatter from the output positions
+    would, in the same order, plus exact zeros: the result is bit-identical.
+    With padding (D - 1) / 2 the buffer has the padded input's extent.
+    """
+    b, wout, hout, r = dz2.shape
+    d, st, p = spec.kernel_size, spec.stride, spec.padding
+    m = max(0, d - 1 - p)
+    span_w, span_h = st * (wout - 1) + 1, st * (hout - 1) + 1
+    dilated = np.zeros((b, span_w + 2 * m, span_h + 2 * m, r))
+    dilated[:, m : m + span_w : st, m : m + span_h : st] = dz2
+    taps = _tiled_taps(u2, h)
+    dz = np.zeros((b, w, h, r))
+    term = np.empty_like(dz)
+    for j, i in _offsets(d):
+        y, x = m + p - j, m + p - i
+        dz += np.multiply(dilated[:, y : y + w, x : x + h], taps[j, i], out=term)
+    return dz
 
 
 def batch_cp_conv_backward(dy, factors, spec: ConvSpec, cache, input_grad=True) -> tuple:
@@ -327,7 +368,7 @@ def batch_cp_conv_backward(dy, factors, spec: ConvSpec, cache, input_grad=True) 
     d, st, p = spec.kernel_size, spec.stride, spec.padding
     b, _, wout, hout = dy.shape
     w, h = cache["hw"]
-    dx_groups = []
+    dx = np.empty((b, spec.in_channels, w, h)) if input_grad else None
     dfactors = []
     for gi, (u1, u2, u3) in enumerate(factors):
         r = u2.shape[0]
@@ -336,23 +377,21 @@ def batch_cp_conv_backward(dy, factors, spec: ConvSpec, cache, input_grad=True) 
         du3 = np.matmul(dy_g, saved["z2"]).sum(axis=0)
         dz2 = np.matmul(dy_g.transpose(0, 2, 1), u3).reshape(b, wout, hout, r)
 
-        zpad, taps = saved["zpad"], saved["taps"]
+        dz = _depthwise_input_grad(dz2, u2, spec, w, h)
+        zpad = saved["zpad"]
         du2 = np.empty_like(u2)
-        dzpad = np.zeros(zpad.shape)
         term = np.empty_like(dz2)
         rows = term.reshape(b * wout, hout * r)
         for j, i in _offsets(d):
             np.multiply(_strided(zpad, j, i, st, wout, hout, axis=1), dz2, out=term)
             du2[:, j, i] = rows.sum(axis=0).reshape(hout, r).sum(axis=0)
-            view = _strided(dzpad, j, i, st, wout, hout, axis=1)
-            view += np.multiply(dz2, taps[j, i], out=term)
-        dz = _unpad_batch(dzpad, p, axis=1).reshape(b, w * h, r).transpose(0, 2, 1)
+        dz = dz.reshape(b, w * h, r).transpose(0, 2, 1)
 
         du1 = np.matmul(dz, saved["xg"].transpose(0, 2, 1)).sum(axis=0)
         dfactors.append((du1, du2, du3))
         if input_grad:
-            dx_groups.append(np.matmul(u1.T, dz).reshape(b, s_g, w, h))
-    return (np.concatenate(dx_groups, axis=1) if input_grad else None), dfactors
+            np.matmul(u1.T, dz, out=_group_rows(dx, gi, s_g))
+    return dx, dfactors
 
 
 def batch_fc(x, weights, counter=None) -> np.ndarray:

@@ -138,11 +138,13 @@ class _Weighted(_Layer):
         return type(self).build(self.name, self.fields(), params)
 
     def forward(self, params, x, cache=None, counter=None):
+        # Every _linear returns a fresh array that no cache holds, so the
+        # bias is added in place.
         out = self._linear(params, x, cache, counter)
         bias = params.get("bias")
-        if bias is None:
-            return out
-        return out + bias.reshape((-1,) + (1,) * (out.ndim - 2))
+        if bias is not None:
+            out += bias.reshape((-1,) + (1,) * (out.ndim - 2))
+        return out
 
     def backward(self, params, dy, cache, grads, input_grad=True):
         if "bias" in params:

@@ -98,6 +98,65 @@ def naive_max_pool(x: np.ndarray, k: int, s: int, dy=None):
     return out, dx
 
 
+def per_image_render(labels, noise, rng):
+    """Reference for data._render: the grating task drawn one image at a
+    time, then the noise in the same blocks."""
+    from cpcompress.data import _NOISE_BLOCK, TOY_INPUT_SHAPE, _class_params
+
+    n = labels.size
+    size = TOY_INPUT_SHAPE[-1]
+    grid = np.arange(size) / size
+    yy, xx = np.meshgrid(grid, grid, indexing="ij")
+    images = np.empty((n,) + TOY_INPUT_SHAPE)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    amplitudes = rng.uniform(0.75, 1.25, size=n)
+    for i, label in enumerate(labels):
+        orientation, frequency, mix = _class_params(int(label))
+        axis = xx * np.cos(orientation) + yy * np.sin(orientation)
+        grating = np.sin(2.0 * np.pi * frequency * axis + phases[i])
+        images[i] = amplitudes[i] * mix[:, None, None] * grating
+    for start in range(0, n, _NOISE_BLOCK):
+        block = images[start : start + _NOISE_BLOCK]
+        block += noise * rng.standard_normal(block.shape)
+    return images
+
+
+def scatter_cp_conv_backward(dy, factors, spec, cache):
+    """Reference for conv.batch_cp_conv_backward with the depthwise stage's
+    input-side adjoint as a scatter: each output position's gradient times
+    each tap is added onto a zero-padded channels-last input gradient,
+    kernel offsets in row-major order."""
+    t_g = spec.out_channels // spec.groups
+    s_g = spec.in_channels // spec.groups
+    d, st, p = spec.kernel_size, spec.stride, spec.padding
+    b, _, wout, hout = dy.shape
+    w, h = cache["hw"]
+    dx_groups = []
+    dfactors = []
+    for gi, (u1, u2, u3) in enumerate(factors):
+        r = u2.shape[0]
+        saved = cache["groups"][gi]
+        dy_g = dy[:, gi * t_g : (gi + 1) * t_g].reshape(b, t_g, wout * hout)
+        du3 = np.matmul(dy_g, saved["z2"]).sum(axis=0)
+        dz2 = np.matmul(dy_g.transpose(0, 2, 1), u3).reshape(b, wout, hout, r)
+        zpad = saved["zpad"]
+        du2 = np.empty_like(u2)
+        dzpad = np.zeros(zpad.shape)
+        term = np.empty_like(dz2)
+        rows = term.reshape(b * wout, hout * r)
+        for j in range(d):
+            for i in range(d):
+                window = (slice(None), slice(j, j + st * wout, st), slice(i, i + st * hout, st))
+                np.multiply(zpad[window], dz2, out=term)
+                du2[:, j, i] = rows.sum(axis=0).reshape(hout, r).sum(axis=0)
+                dzpad[window] += np.multiply(dz2, u2[:, j, i], out=term)
+        dz = dzpad[:, p : p + w, p : p + h].reshape(b, w * h, r).transpose(0, 2, 1)
+        du1 = np.matmul(dz, saved["xg"].transpose(0, 2, 1)).sum(axis=0)
+        dfactors.append((du1, du2, du3))
+        dx_groups.append(np.matmul(u1.T, dz).reshape(b, s_g, w, h))
+    return np.concatenate(dx_groups, axis=1), dfactors
+
+
 def gram_singular_values(w: np.ndarray) -> np.ndarray:
     """Independent oracle: singular values via the Gram matrix eigenproblem."""
     m, n = w.shape

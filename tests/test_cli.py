@@ -367,6 +367,17 @@ class TestNumericSettings:
         flag = next(a for a in argv if a.startswith("--") and a != "--arch")
         assert flag in _one_line_error(capsys)
 
+    @pytest.mark.parametrize("text", ["2.5", "x", "nan", "1e400"])
+    @pytest.mark.parametrize(
+        "command, flag, rule",
+        [("probe", "--batch-size", "an integer >= 1"),
+         ("train", "--rank-fraction", "in (0, 1]")],
+    )
+    def test_malformed_flag(self, capsys, command, flag, rule, text):
+        # One line quoting the text as typed, not argparse's usage block.
+        assert main([command, flag, text]) == EXIT_ARGS
+        assert _one_line_error(capsys) == f"error: {flag} must be {rule}, got {text!r}"
+
     @pytest.mark.parametrize("command", ["probe", "train"])
     @pytest.mark.parametrize(
         "overlay",

@@ -6,6 +6,8 @@ import pytest
 from cpcompress.conv import (
     ConvSpec,
     MultiplyCounter,
+    batch_cp_conv,
+    batch_cp_conv_backward,
     conv_forward,
     conv_forward_decomposed,
     fc_forward,
@@ -15,7 +17,7 @@ from cpcompress.cp import CpFactors, reconstruct
 from cpcompress.network import ReLU
 from cpcompress.tensor import DenseTensor
 
-from helpers import naive_conv
+from helpers import naive_conv, scatter_cp_conv_backward
 
 
 def random_factors(rng, t, s, d, rank):
@@ -202,6 +204,40 @@ class TestDecomposedPipeline:
         x = DenseTensor.from_array(rng.standard_normal((4, 6, 6)))
         with pytest.raises(ValueError):
             conv_forward_decomposed(x, random_factors(rng, 6, 4, 3, 2), spec)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _triples(rng, groups, t, s, d, rank):
+    """(u1, u2, u3) per group, as the batched kernels take them."""
+    return [(f.u1, f.u2, f.u3)
+            for f in (random_factors(rng, t, s, d, rank) for _ in range(groups))]
+
+
+class TestCpConvBackward:
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_gather_matches_scatter_bit_for_bit(self, stride, padding, d, groups):
+        # W != H, each rounded up to the least extent the geometry accepts;
+        # with stride > d some input rows and columns get no gradient.
+        rng = np.random.default_rng(100 * stride + 10 * padding + d + groups)
+        spec = ConvSpec(4 * groups, 2 * groups, d, stride=stride, padding=padding,
+                        groups=groups)
+        w, h = (e + (d - 2 * padding - e) % stride for e in (7, 10))
+        factors = _triples(rng, groups, 4, 2, d, 3)
+        cache = {}
+        y = batch_cp_conv(rng.standard_normal((3, 2 * groups, w, h)), factors, spec, cache)
+        dy = rng.standard_normal(y.shape)
+        dx, dfactors = batch_cp_conv_backward(dy, factors, spec, cache)
+        ref_dx, ref_dfactors = scatter_cp_conv_backward(dy, factors, spec, cache)
+        np.testing.assert_array_equal(_bits(dx), _bits(ref_dx))
+        for got, ref in zip(dfactors, ref_dfactors):
+            for a, b in zip(got, ref):
+                np.testing.assert_array_equal(_bits(a), _bits(b))
 
 
 class TestFcForward:

@@ -5,7 +5,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from cpcompress.data import make_synthetic_dataset
+from cpcompress.data import TOY_CLASSES, _render, make_synthetic_dataset
+
+from helpers import per_image_render
 
 # sha256 over train_x, train_y, test_x, test_y, recorded when the noise was
 # one whole-split draw.  203 and 77 are not multiples of the noise block.
@@ -23,7 +25,7 @@ class TestSyntheticDataset:
         assert data.train_x.shape == (60, 3, 16, 16)
         assert data.test_x.shape == (30, 3, 16, 16)
         assert data.train_y.dtype == np.int64
-        assert data.n_classes == 10
+        assert int(data.train_y.max()) + 1 == TOY_CLASSES == 10
 
     def test_seed_reproducibility(self):
         a = make_synthetic_dataset(n_train=50, n_test=20, seed=3)
@@ -63,3 +65,14 @@ class TestSyntheticDataset:
         for arr in (data.train_x, data.train_y, data.test_x, data.test_y):
             digest.update(arr.tobytes())
         assert digest.hexdigest() == _PINNED_DIGESTS[(seed, n_train, n_test)]
+
+
+class TestRender:
+    @pytest.mark.parametrize("noise", [0.0, 1.0])
+    @pytest.mark.parametrize("n", [3, 7, 96, 2000])
+    def test_matches_per_image_render(self, n, noise):
+        # n < 10 leaves some classes without images.
+        labels = np.random.default_rng(n).permutation(np.arange(n) % TOY_CLASSES)
+        got = _render(labels, noise, np.random.default_rng(5))
+        want = per_image_render(labels, noise, np.random.default_rng(5))
+        assert got.tobytes() == want.tobytes()
