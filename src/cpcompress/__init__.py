@@ -16,14 +16,7 @@ from .allocator import (
     measure_sensitivity,
     probe_sensitivity,
 )
-from .conv import (
-    ConvSpec,
-    MultiplyCounter,
-    conv_forward,
-    conv_forward_decomposed,
-    fc_forward,
-    max_pool,
-)
+from .conv import ConvSpec, MultiplyCounter
 from .cp import (
     CpFactors,
     TpmConfig,

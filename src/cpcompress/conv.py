@@ -220,17 +220,15 @@ def _tiled_taps(u2: np.ndarray, length: int) -> np.ndarray:
     return taps
 
 
-def _scatter_cols(dcols, shape, d, stride, p, wout, hout):
-    """Adjoint of _batch_patches: accumulate patch gradients back onto the
-    (unpadded) input.  Summation order is fixed: kernel offsets in row-major
-    order."""
-    b, c, w, h = shape
-    dxpad = np.zeros((b, c, w + 2 * p, h + 2 * p))
+def _scatter_cols(dcols, dxpad, d, stride, wout, hout):
+    """Adjoint of _batch_patches: accumulate patch gradients onto the
+    (B, C, Wp, Hp) gradient of the padded input, in place.  Summation order
+    is fixed: kernel offsets in row-major order."""
+    b, c = dxpad.shape[:2]
     dcols = dcols.reshape(b, c, d, d, wout, hout)
     for j, i in _offsets(d):
         view = _strided(dxpad, j, i, stride, wout, hout)
         view += dcols[:, :, j, i]
-    return _unpad_batch(dxpad, p)
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +268,11 @@ def batch_conv_backward(dy, weights, spec: ConvSpec, cache, input_grad=True) -> 
     g = spec.groups
     s_g = spec.in_channels // g
     t_g = spec.out_channels // g
-    d = spec.kernel_size
+    d, p = spec.kernel_size, spec.padding
     b, _, wout, hout = dy.shape
+    w, h = cache["x_shape"][2:]
     dw = np.empty_like(weights)
-    dx_groups = []
+    dxpad = np.zeros((b, spec.in_channels, w + 2 * p, h + 2 * p)) if input_grad else None
     for gi in range(g):
         dy_g = dy[:, gi * t_g : (gi + 1) * t_g].reshape(b, t_g, wout * hout)
         cols = cache["cols"][gi]
@@ -283,12 +282,11 @@ def batch_conv_backward(dy, weights, spec: ConvSpec, cache, input_grad=True) -> 
         if not input_grad:
             continue
         kmat = weights[gi * t_g : (gi + 1) * t_g].reshape(t_g, -1)
-        dcols = np.matmul(kmat.T, dy_g)
-        bshape = (b, s_g) + cache["x_shape"][2:]
-        dx_groups.append(
-            _scatter_cols(dcols, bshape, d, spec.stride, spec.padding, wout, hout)
-        )
-    return (np.concatenate(dx_groups, axis=1) if input_grad else None), dw
+        _scatter_cols(np.matmul(kmat.T, dy_g), dxpad[:, gi * s_g : (gi + 1) * s_g],
+                      d, spec.stride, wout, hout)
+    if not input_grad:
+        return None, dw
+    return np.ascontiguousarray(_unpad_batch(dxpad, p)), dw
 
 
 def batch_cp_conv(x, factors, spec: ConvSpec, cache=None, counter=None) -> np.ndarray:

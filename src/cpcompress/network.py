@@ -88,7 +88,7 @@ class _Layer:
     # same way at any batch size, so a pass may run the batch in slices.
     per_sample = False
     # "conv" or "fc" on a layer that can still be factorized; such a kind
-    # also has decompose(rank, ...), factorized(factors), full_rank and
+    # also has decompose(rank, seed=...), factorized(factors), full_rank and
     # max_rank.
     rank_group = None
 
@@ -226,7 +226,7 @@ class Conv(_ConvKind):
         bound is groups times that, the kernel's weight count."""
         return self.spec.weight_count
 
-    def decompose(self, rank, *, seed=0, max_inner_iters=200, tol=1e-8) -> tuple:
+    def decompose(self, rank, *, seed=0) -> tuple:
         """One CpFactors per channel group, each at rank ceil(rank / groups)
         and seeded with seed + its group index."""
         check_rank(self, rank)
@@ -235,8 +235,7 @@ class Conv(_ConvKind):
         return tuple(
             decompose_kernel(
                 DenseTensor.from_array(self.weights[gi * t_g : (gi + 1) * t_g]),
-                TpmConfig(rank=ceil(rank / groups), max_inner_iters=max_inner_iters,
-                          tol=tol, seed=seed + gi),
+                TpmConfig(rank=ceil(rank / groups), seed=seed + gi),
             )
             for gi in range(groups)
         )
@@ -396,9 +395,8 @@ class Fc(_FcKind):
         """The largest rank decompose takes: the truncated SVD's min(M, N)."""
         return self.full_rank
 
-    def decompose(self, rank, *, seed=0, max_inner_iters=200, tol=1e-8) -> SvdFactors:
-        """The truncated SVD; it is deterministic, so the seed and the TPM
-        settings go unused."""
+    def decompose(self, rank, *, seed=0) -> SvdFactors:
+        """The truncated SVD; it is deterministic, so the seed goes unused."""
         check_rank(self, rank)
         return truncated_svd(self.weights, rank)
 
@@ -620,9 +618,9 @@ def stage_count(net: NetworkSpec) -> int:
 
 
 def forward(net: NetworkSpec, x, counter: MultiplyCounter | None = None) -> np.ndarray:
-    """Forward pass of one input, run as a batch of one; `x` is an ndarray or
-    DenseTensor matching net.input_shape.  Returns the final activation."""
-    value = x.array if isinstance(x, DenseTensor) else np.asarray(x, dtype=np.float64)
+    """Forward pass of one input, run as a batch of one; `x` is an array
+    matching net.input_shape.  Returns the final activation."""
+    value = np.asarray(x, dtype=np.float64)
     if value.shape != net.input_shape:
         raise ValueError(f"input shape {value.shape} != {net.input_shape}")
     value = value[None]
@@ -724,14 +722,7 @@ def count_params(net: NetworkSpec) -> CompressionReport:
 # ---------------------------------------------------------------------------
 
 
-def decompose_layer(
-    layer,
-    rank: int,
-    *,
-    seed: int = 0,
-    max_inner_iters: int = 200,
-    tol: float = 1e-8,
-):
+def decompose_layer(layer, rank: int, *, seed: int = 0):
     """Factorize one layer's weights at the given rank.
 
     Convolutions: each channel group is decomposed independently at rank
@@ -740,7 +731,7 @@ def decompose_layer(
     """
     if layer.rank_group is None:
         raise ValueError(f"layer {layer.name!r} is not decomposable")
-    return layer.decompose(rank, seed=seed, max_inner_iters=max_inner_iters, tol=tol)
+    return layer.decompose(rank, seed=seed)
 
 
 def check_rank(layer, rank: int) -> None:
@@ -881,6 +872,15 @@ def _read_blob(fh, shape, tag: str) -> np.ndarray:
     return _freeze(arr)
 
 
+def _dims(values) -> tuple:
+    """A JSON list of integers as a shape.  Booleans are refused, because
+    operator.index takes them as 0 and 1."""
+    values = list(values)
+    if any(isinstance(v, bool) for v in values):
+        raise TypeError(f"{values} holds a boolean")
+    return tuple(map(operator.index, values))
+
+
 def _layer_from_manifest(entry, fh):
     try:
         kind = entry["kind"]
@@ -893,7 +893,7 @@ def _layer_from_manifest(entry, fh):
     for spec_entry in blob_specs:
         try:
             tag = spec_entry["tag"]
-            shape = tuple(map(operator.index, spec_entry["shape"]))
+            shape = _dims(spec_entry["shape"])
             if not isinstance(tag, str):
                 raise TypeError(f"tag {tag!r} is not a string")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -908,9 +908,18 @@ def _layer_from_manifest(entry, fh):
             f"knows {', '.join(_KINDS)}"
         ) from None
     try:
-        return cls.build(name, entry, arrays)
+        layer = cls.build(name, entry, arrays)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"inconsistent layer {name!r}: {exc}") from exc
+    # Every field save would write must be in the entry as the same JSON
+    # value, so a field the layer derives from its blobs (a rank, a feature
+    # count) cannot disagree with them, and true does not pass for 1.
+    for key, value in layer.fields().items():
+        got = json.dumps(entry[key]) if key in entry else "missing"
+        want = json.dumps(value)
+        if got != want:
+            raise ModelFormatError(f"inconsistent layer {name!r}: {key} is {got}, not {want}")
+    return layer
 
 
 def load(path) -> NetworkSpec:
@@ -949,7 +958,7 @@ def load(path) -> NetworkSpec:
             raise ModelFormatError("manifest is not followed by a newline", end)
 
         try:
-            input_shape = tuple(map(operator.index, manifest["input_shape"]))
+            input_shape = _dims(manifest["input_shape"])
             entries = list(manifest["layers"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ModelFormatError(f"bad manifest: {exc}", offset) from exc

@@ -49,10 +49,6 @@ __all__ = [
 class DivergedError(RuntimeError):
     """Training produced non-finite activations or loss."""
 
-    def __init__(self, message: str, history=None):
-        super().__init__(message)
-        self.history = tuple(history or ())
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -119,28 +115,6 @@ class StageLog:
         if self.diverged:
             lines.append("diverged=true")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "StageLog":
-        records = []
-        diverged = False
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            if line == "diverged=true":
-                diverged = True
-                continue
-            fields = dict(item.split("=", 1) for item in line.split("\t"))
-            records.append(
-                StageRecord(
-                    fields["layer"], int(fields["rank"]),
-                    float(fields["pre_loss"]), float(fields["pre_accuracy"]),
-                    float(fields["post_loss"]), float(fields["post_accuracy"]),
-                    int(fields["epochs"]),
-                )
-            )
-        return cls(tuple(records), diverged)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +285,7 @@ def _run_sgd(net, params, data: Dataset, cfg: TrainConfig, epochs: int):
             out, caches = _forward(net, params, xb, True)
             loss, dout = softmax_cross_entropy(out, yb)
             if not np.isfinite(loss):
-                raise DivergedError(f"non-finite loss at epoch {epoch}", history)
+                raise DivergedError(f"non-finite loss at epoch {epoch}")
             loss_sum += loss * batch.size
             hit_sum += int((out.argmax(axis=1) == yb).sum())
             per_layer = _backward(net, params, caches, dout)

@@ -12,7 +12,8 @@ import pytest
 import cpcompress
 import cpcompress.cli
 
-from cpcompress.cli import EXIT_ARGS, EXIT_FILE, EXIT_OK, main
+from cpcompress import verify
+from cpcompress.cli import EXIT_ARGS, EXIT_FILE, EXIT_OK, EXIT_VERIFY, main
 from cpcompress.network import NetworkSpec, load
 from cpcompress.presets import toy_cnn
 from cpcompress.network import save
@@ -506,6 +507,19 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "equivalence" in out and "ok" in out
+
+    def test_equivalence_catches_a_skewed_pipeline(self, monkeypatch, capsys):
+        # The suite compares two independent kernels; a factorized pipeline
+        # off by one part in a million must fail it, in the library and the CLI.
+        staged = verify.batch_cp_conv
+        monkeypatch.setattr(
+            verify, "batch_cp_conv", lambda *args: staged(*args) * (1 + 1e-6)
+        )
+        assert not verify.equivalence_suite(cases=5).passed
+        code = main(["verify", "--verify-cases", "5", "--verify-trips", "1"])
+        out = capsys.readouterr().out
+        assert code == EXIT_VERIFY
+        assert "FAIL" in out.splitlines()[0]
 
 
 class TestConfigOverlay:

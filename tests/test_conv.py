@@ -59,8 +59,8 @@ class TestConvForward:
         x = DenseTensor.from_array(np.ones((1, 3, 3)))
         k = DenseTensor.from_array(np.ones((1, 1, 3, 3)))
         out = conv_forward(x, k, ConvSpec(1, 1, 3))
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == 9.0
+        assert out.array.shape == (1, 1, 1)
+        assert out.array[0, 0, 0] == 9.0
 
     def test_matches_naive_loop_oracle(self):
         rng = np.random.default_rng(1)
@@ -195,7 +195,7 @@ class TestDecomposedPipeline:
         counter = MultiplyCounter()
         out = conv_forward_decomposed(x, factors, spec, counter)
         wout = spec.output_extent(7)
-        assert out.shape == (2, wout, wout)
+        assert out.array.shape == (2, wout, wout)
         assert counter.count == 4 * 3 * 49 + 4 * 25 * wout * wout + 2 * 4 * wout * wout
 
     def test_wrong_group_count_rejected(self):
@@ -275,8 +275,8 @@ class TestActivationsAndPooling:
     def test_max_pool_2x2(self):
         x = DenseTensor.from_array([[[1.0, 2.0], [3.0, 4.0]]])
         out = max_pool(x, window=2, stride=2)
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == 4.0
+        assert out.array.shape == (1, 1, 1)
+        assert out.array[0, 0, 0] == 4.0
 
     def test_pool_of_constant_is_constant(self):
         x = DenseTensor.from_array(np.full((3, 6, 6), 2.5))

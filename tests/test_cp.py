@@ -55,7 +55,8 @@ class TestFitRank1:
         assert scale == pytest.approx(expected, abs=1e-6)
 
     def test_zero_target_gives_zero_scale(self):
-        *vectors, scale = fit_rank1(DenseTensor.zeros((2, 3, 4)), TpmConfig(rank=1))
+        zero = DenseTensor.from_array(np.zeros((2, 3, 4)))
+        *vectors, scale = fit_rank1(zero, TpmConfig(rank=1))
         assert scale == 0.0
         for v in vectors:
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
@@ -201,9 +202,10 @@ class TestResidualCurve:
                 assert later <= earlier
 
     def test_zero_kernel_convention(self):
-        curve = residual_curve(DenseTensor.zeros((2, 2, 3, 3)), 4, TpmConfig(rank=4))
+        zero = DenseTensor.from_array(np.zeros((2, 2, 3, 3)))
+        curve = residual_curve(zero, 4, TpmConfig(rank=4))
         assert curve == [0.0, 0.0, 0.0, 0.0]
 
     def test_rank_bound(self):
         with pytest.raises(ValueError):
-            residual_curve(DenseTensor.zeros((2, 2, 1, 1)), 5, TpmConfig(rank=1))
+            residual_curve(DenseTensor.from_array(np.zeros((2, 2, 1, 1))), 5, TpmConfig(rank=1))

@@ -23,8 +23,10 @@ from cpcompress.network import (
     ModelFormatError,
     NetworkSpec,
     count_params,
+    decompose_layer,
     forward,
     load,
+    replace_layer,
     save,
 )
 from cpcompress.presets import toy_cnn
@@ -333,4 +335,77 @@ class TestIntegerFieldsAsFloats:
         bad = tmp_path / "bad.cpnet"
         _assemble(header, manifest, payloads, bad)
         with pytest.raises(ModelFormatError):
+            load(bad)
+
+
+@pytest.fixture(scope="module")
+def factorized_toy(tmp_path_factory):
+    """Parts of a saved toy net with conv1 and fc1 factorized at rank 1, so
+    that a rank, a stride, a group count and a blob extent are all 1."""
+    net = toy_cnn(0)
+    for name in ("conv1", "fc1"):
+        net = replace_layer(net, name, decompose_layer(net.layer(name), 1))
+    path = tmp_path_factory.mktemp("toy") / "toy.cpnet"
+    save(net, path)
+    return _parts(path.read_bytes())
+
+
+_INCONSISTENT_CASES = [
+    (("conv1", "ranks"), "junk"),
+    (("conv1", "ranks"), [99]),
+    (("conv1", "ranks"), [True]),
+    (("fc1", "rank"), 77),
+    (("fc1", "rank"), True),
+    (("fc1", "in_features"), 3),
+    (("fc1", "out_features"), [1]),
+    (("conv1", "stride"), True),
+    (("conv1", "groups"), True),
+]
+
+
+class TestInconsistentFields:
+    """Each field a layer derives from its blobs or geometry must be in the
+    manifest as the JSON value save writes; a checksum-valid file that says
+    otherwise is refused, not loaded as the net its blobs describe."""
+
+    @pytest.mark.parametrize(
+        "where, value", _INCONSISTENT_CASES,
+        ids=[f"{'.'.join(where)}={json.dumps(value)}" for where, value in _INCONSISTENT_CASES],
+    )
+    def test_wrong_field_raises_format_error(self, factorized_toy, tmp_path, where, value):
+        header, manifest, payloads = factorized_toy
+        manifest = json.loads(json.dumps(manifest))
+        _set_toy_field(manifest, where, value)
+        bad = tmp_path / "bad.cpnet"
+        _assemble(header, manifest, payloads, bad)
+        with pytest.raises(ModelFormatError, match="inconsistent layer"):
+            load(bad)
+
+    def test_missing_rank_raises_format_error(self, factorized_toy, tmp_path):
+        header, manifest, payloads = factorized_toy
+        manifest = json.loads(json.dumps(manifest))
+        del next(e for e in manifest["layers"] if e["name"] == "fc1")["rank"]
+        bad = tmp_path / "bad.cpnet"
+        _assemble(header, manifest, payloads, bad)
+        with pytest.raises(ModelFormatError, match="inconsistent layer 'fc1': rank is missing"):
+            load(bad)
+
+    def test_boolean_blob_extent_raises_format_error(self, factorized_toy, tmp_path):
+        # u1.0 of conv1 is (1, 3): true would pass for its first extent.
+        header, manifest, payloads = factorized_toy
+        manifest = json.loads(json.dumps(manifest))
+        _set_toy_field(manifest, ("conv1", "blobs", 0, 0), True)
+        bad = tmp_path / "bad.cpnet"
+        _assemble(header, manifest, payloads, bad)
+        with pytest.raises(ModelFormatError, match="boolean"):
+            load(bad)
+
+    def test_boolean_input_extent_raises_format_error(self, tmp_path):
+        good = tmp_path / "good.cpnet"
+        save(NetworkSpec((1,), (Fc("head", np.ones((2, 1))),)), good)
+        header, manifest, payloads = _parts(good.read_bytes())
+        manifest["input_shape"] = [True]
+        bad = tmp_path / "bad.cpnet"
+        _assemble(header, manifest, payloads, bad)
+        with pytest.raises(ModelFormatError, match="boolean"):
             load(bad)

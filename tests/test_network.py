@@ -359,7 +359,7 @@ class TestLayerFactorization:
             layer = net.layer(name)
             assert layer.max_rank == bound
             check_rank(layer, bound)
-            layer.decompose(bound, max_inner_iters=2)
+            layer.decompose(bound)
             for rank in (0, bound + 1):
                 words = rf"layer '{name}': rank must be in \[1, {bound}\], got {rank}"
                 with pytest.raises(ValueError, match=words):
@@ -769,7 +769,7 @@ class TestSerialization:
         assert "checksum" in str(info.value)
 
     def test_corruption_never_crashes(self):
-        assert corruption_suite(mutations=30, seed=1) == []
+        assert corruption_suite(seed=1) == []
 
     def test_decomposed_layers_roundtrip(self, tmp_path):
         rng = np.random.default_rng(18)

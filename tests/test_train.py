@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cpcompress.data import Dataset, make_synthetic_dataset
-from cpcompress.cp import reconstruct
+from cpcompress.cp import TpmConfig, decompose_kernel, reconstruct
 from cpcompress.network import (
     Conv,
     DecomposedConv,
@@ -16,14 +16,16 @@ from cpcompress.network import (
     MaxPool,
     NetworkSpec,
     ReLU,
+    decompose_layer,
+    replace_layer,
     save,
     stage_count,
 )
 from cpcompress.presets import toy_cnn
+from cpcompress.tensor import DenseTensor
 from cpcompress.train import (
     DivergedError,
     StageLog,
-    StageRecord,
     TrainConfig,
     backward,
     batch_outputs,
@@ -389,15 +391,16 @@ class TestSchedules:
         ranks = {"conv1": 24, "conv2": 72, "fc1": 48, "fc2": 10}
         _, base_acc = evaluate(net, data.test_x, data.test_y)
         current = net
-        from cpcompress.network import decompose_layer, replace_layer
-
         for name in ("conv1", "conv2", "fc1", "fc2"):
-            current = replace_layer(
-                current,
-                name,
-                decompose_layer(current.layer(name), ranks[name], seed=0,
-                                max_inner_iters=500, tol=1e-12),
-            )
+            layer = current.layer(name)
+            if isinstance(layer, Conv):
+                # The toy convs have one group, so this is the one CpFactors
+                # decompose would make, at tighter power-method settings.
+                cfg = TpmConfig(ranks[name], seed=0, max_inner_iters=500, tol=1e-12)
+                factors = decompose_kernel(DenseTensor.from_array(layer.weights), cfg)
+            else:
+                factors = decompose_layer(layer, ranks[name])
+            current = replace_layer(current, name, factors)
         _, acc = evaluate(current, data.test_x, data.test_y)
         assert acc == pytest.approx(base_acc, abs=1e-6)
 
@@ -423,16 +426,6 @@ class TestSchedules:
         net = toy_cnn(seed=10)
         with pytest.raises(ValueError):
             iterative_compress(net, data, {"conv1": 4}, TrainConfig(seed=0))
-
-    def test_stage_log_roundtrip(self):
-        log = StageLog(
-            (
-                StageRecord("conv1", 4, 2.302585, 0.1, 0.5, 0.9375, 3),
-                StageRecord("fc1", 8, 0.25, 0.96875, 0.125, 1.0, 3),
-            ),
-            diverged=True,
-        )
-        assert StageLog.from_text(log.to_text()) == log
 
     def test_iterative_deterministic_logs(self):
         data = tiny_dataset()
