@@ -54,7 +54,7 @@ from .presets import (
     alexnet_decomposed,
     toy_cnn,
 )
-from .svd import SvdFactors, singular_values, truncated_svd
+from .svd import SvdFactors, truncated_svd
 from .tensor import DenseTensor
 from .train import (
     DivergedError,

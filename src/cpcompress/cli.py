@@ -7,8 +7,8 @@ schedule on the built-in task), verify (randomized equivalence and
 round-trip suites).
 
 Reports go to stdout as tab-separated tables; diagnostics go to stderr.
-Exit codes: 0 success, 1 unreadable/missing file, 2 invalid ranks or
-arguments, 3 training diverged, 4 verification failure.
+Exit codes: 0 success, 1 unreadable, missing or unwritable file, 2 invalid
+ranks or arguments, 3 training diverged, 4 verification failure.
 
 Each numeric setting is declared once, in ``_SETTINGS``; ``DEFAULTS`` holds
 their built-in values.  A JSON config file (``--config``) overrides those,
@@ -18,6 +18,7 @@ and explicit flags override both.
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -175,6 +176,17 @@ def _check_ranks(net: NetworkSpec, ranks: dict) -> None:
         raise _Refused(EXIT_ARGS, f"invalid ranks: {exc}") from None
 
 
+def _check_output(path) -> None:
+    """Refuse an output path that is a directory or lies in a missing one,
+    before any work whose result it would hold."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise _Refused(EXIT_FILE, f"cannot write {path}: it is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise _Refused(EXIT_FILE, f"cannot write {path}: no such directory")
+
+
 def _write_ranks(ranks: dict, stream) -> None:
     stream.write("layer\trank\n")
     for name, rank in ranks.items():
@@ -222,7 +234,12 @@ def _print_comparison(original: NetworkSpec, compressed: NetworkSpec, instrument
 
 def cmd_decompose(args) -> int:
     """factorize a model and report savings"""
+    _check_output(args.model_out)
     if args.arch == "alexnet":
+        # The preset is its own model and carries its own ranks.
+        for name in ("model_in", "rank_budget"):
+            if getattr(args, name) is not None:
+                return _fail(EXIT_ARGS, f"--arch alexnet cannot be combined with {_flag(name)}")
         original = alexnet()
         ranks = dict(ALEXNET_DEFAULT_RANKS)
         if args.ranks_file:
@@ -305,6 +322,7 @@ def cmd_probe(args) -> int:
 
 def cmd_allocate(args) -> int:
     """turn a sensitivity report into ranks"""
+    _check_output(args.out)
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             report = SensitivityReport.from_table(fh.read())
@@ -323,6 +341,7 @@ def cmd_allocate(args) -> int:
 
 def cmd_train(args) -> int:
     """run a compression schedule on the built-in task"""
+    _check_output(args.model_out)
     # Ranks are settled on the untrained net, which has the trained one's shapes.
     untrained = toy_cnn(seed=args.seed)
     if args.ranks_file:
@@ -484,6 +503,9 @@ def main(argv=None) -> int:
         return _fail(exc.code, str(exc))
     except DivergedError as exc:
         return _fail(EXIT_DIVERGED, f"training diverged: {exc}")
+    except OSError as exc:
+        # Every read is refused where it happens; this is a failed write.
+        return _fail(EXIT_FILE, f"cannot write: {exc}")
 
 
 def main_entry() -> None:

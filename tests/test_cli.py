@@ -195,6 +195,47 @@ class TestDecompose:
         assert code == EXIT_ARGS
         assert words in _one_line_error(capsys)
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--model-in", "/nope/missing.cpnet"), ("--rank-budget", "conv=1"),
+    ])
+    def test_alexnet_preset_refuses_model_flags(self, capsys, flag, value):
+        # Both were once dropped in silence, with the preset's report and exit 0.
+        code = main(["decompose", "--arch", "alexnet", flag, value, "--analytic-only"])
+        assert code == EXIT_ARGS
+        assert f"--arch alexnet cannot be combined with {flag}" in _one_line_error(capsys)
+
+    @pytest.mark.parametrize("where, words", [
+        ("missing", "no such directory"), ("directory", "it is a directory"),
+    ])
+    def test_unwritable_model_out_refused_before_any_decomposition(
+        self, toy_model_path, tmp_path, capsys, monkeypatch, where, words
+    ):
+        def no_decomposition(*args, **kwargs):
+            raise AssertionError("decomposition started")
+
+        monkeypatch.setattr(cpcompress.cli, "decompose_layer", no_decomposition)
+        out_path = tmp_path / "missing" / "c.cpnet" if where == "missing" else tmp_path
+        code = main([
+            "decompose", "--model-in", str(toy_model_path), "--rank-budget", "conv=10,fc=10",
+            "--model-out", str(out_path),
+        ])
+        assert code == EXIT_FILE
+        assert words in _one_line_error(capsys)
+
+    def test_failed_write_is_a_file_error(self, toy_model_path, tmp_path, capsys, monkeypatch):
+        def full_disk(net, path):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(cpcompress.cli, "save", full_disk)
+        code = main([
+            "decompose", "--model-in", str(toy_model_path), "--rank-budget", "conv=10,fc=10",
+            "--analytic-only", "--model-out", str(tmp_path / "c.cpnet"),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_FILE
+        assert len(err) == 1 and err[0].startswith("error: cannot write")
+        assert "No space left on device" in err[0]
+
 
 class TestRanksFileNames:
     """Every path that reads a ranks file refuses names the target network
@@ -260,6 +301,15 @@ class TestAllocate:
         capsys.readouterr()
         assert code == EXIT_FILE
 
+    def test_unwritable_out(self, tmp_path, capsys):
+        report = tmp_path / "report.tsv"
+        report.write_text("group\tlayer\tprobe_accuracy\taccuracy_loss\nconv\tconv1\t0.5\t1.0\n")
+        out_path = tmp_path / "missing" / "r.tsv"
+        code = main(["allocate", "--report", str(report), "--budget", "conv=5",
+                     "--out", str(out_path)])
+        assert code == EXIT_FILE
+        assert f"cannot write {out_path}: no such directory" in _one_line_error(capsys)
+
 
 class TestProbe:
     def test_probe_emits_parseable_report(self, tmp_path, capsys):
@@ -322,6 +372,15 @@ class TestTrain:
         assert code == EXIT_OK
         assert "rank=8" in out
 
+
+    def test_unwritable_model_out_refused_before_training(self, tmp_path, capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("baseline training started")
+
+        monkeypatch.setattr(cpcompress.cli, "finetune", no_training)
+        code = main(["train", "--model-out", str(tmp_path)] + FAST_TRAIN)
+        assert code == EXIT_FILE
+        assert "it is a directory" in _one_line_error(capsys)
 
     @pytest.mark.parametrize(
         "text", ["layer\trank\nconv1\tfour\n", "conv1\t4\textra\n", "conv1 4\n"]

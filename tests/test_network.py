@@ -300,9 +300,9 @@ def _grouped_net():
 # with numpy 2.4 on x86-64; a different BLAS may round differently.
 _FACTORIZED_DIGESTS = {
     "toy": (toy_cnn, {"conv1": 6, "conv2": 18, "fc1": 12, "fc2": 5},
-            "77e9e5c1d76fe63910445d547da2ae7e2adaddbd6e370131d4a4236f58c78853"),
+            "b1457db63b42a29c778a786988eef6c27fd07b40ab8979095c89439264835334"),
     "grouped": (_grouped_net, {"conv": 5, "fc": 3},
-                "b50f610dbc4c5c2566127a46d0b5d0b4db9d7928ac1ddce02ea19f96f2f94cf2"),
+                "c644d836dc6eb36350067766070cc4ae83bdf6e6c914da679ac97e18dfa12a1d"),
 }
 
 

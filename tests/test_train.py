@@ -348,24 +348,24 @@ _PINNED_SCHEDULES = {
         "\tpost_loss=2.410851119842448\tpost_accuracy=0.16666666666666666\tepochs=1\n"
         "layer=conv2\trank=8\tpre_loss=2.475253173123303\tpre_accuracy=0.08333333333333333"
         "\tpost_loss=2.3840182981196127\tpost_accuracy=0.15\tepochs=1\n"
-        "layer=fc1\trank=8\tpre_loss=2.419975442474576\tpre_accuracy=0.1"
-        "\tpost_loss=2.3703086330421757\tpost_accuracy=0.08333333333333333\tepochs=1\n"
-        "layer=fc2\trank=4\tpre_loss=2.3189280550360847\tpre_accuracy=0.1"
-        "\tpost_loss=2.3156296655860706\tpost_accuracy=0.11666666666666667\tepochs=1\n",
-        "5b13fd95b95daa7c9800d3ec60c37fa719b9dad0ee83807bef521d858ce89d28",
+        "layer=fc1\trank=8\tpre_loss=2.4199754424745428\tpre_accuracy=0.1"
+        "\tpost_loss=2.370308633042187\tpost_accuracy=0.08333333333333333\tepochs=1\n"
+        "layer=fc2\trank=4\tpre_loss=2.318928055036078\tpre_accuracy=0.1"
+        "\tpost_loss=2.315629665586058\tpost_accuracy=0.11666666666666667\tepochs=1\n",
+        "a12eecedc925a7510a9f89b500aa0b08e1ff0ec96ea127a7438ab0fd08055dba",
     ),
     "oneshot_compress": (
         "layer=conv1\trank=4\tpre_loss=5.779312618609463\tpre_accuracy=0.1"
         "\tpost_loss=5.779312618609463\tpost_accuracy=0.1\tepochs=0\n"
         "layer=conv2\trank=8\tpre_loss=3.70591349282731\tpre_accuracy=0.11666666666666667"
         "\tpost_loss=3.70591349282731\tpost_accuracy=0.11666666666666667\tepochs=0\n"
-        "layer=fc1\trank=8\tpre_loss=2.570967802502329\tpre_accuracy=0.11666666666666667"
-        "\tpost_loss=2.570967802502329\tpost_accuracy=0.11666666666666667\tepochs=0\n"
-        "layer=fc2\trank=4\tpre_loss=2.3976706410829323\tpre_accuracy=0.1"
-        "\tpost_loss=2.3976706410829323\tpost_accuracy=0.1\tepochs=0\n"
-        "layer=finetune\trank=0\tpre_loss=2.3976706410829323\tpre_accuracy=0.1"
-        "\tpost_loss=2.305441720119542\tpost_accuracy=0.11666666666666667\tepochs=4\n",
-        "a76ed76df6dfba0ea6610782419996dd2ab0768261bd9aacb4e3e7739393c9df",
+        "layer=fc1\trank=8\tpre_loss=2.5709678025023615\tpre_accuracy=0.11666666666666667"
+        "\tpost_loss=2.5709678025023615\tpost_accuracy=0.11666666666666667\tepochs=0\n"
+        "layer=fc2\trank=4\tpre_loss=2.3976706410829616\tpre_accuracy=0.1"
+        "\tpost_loss=2.3976706410829616\tpost_accuracy=0.1\tepochs=0\n"
+        "layer=finetune\trank=0\tpre_loss=2.3976706410829616\tpre_accuracy=0.1"
+        "\tpost_loss=2.305441720119546\tpost_accuracy=0.11666666666666667\tepochs=4\n",
+        "81087f01041d714fd01e7ab4cc5258029a6816ebdc0e4db711756a4dd688fa03",
     ),
 }
 
@@ -383,23 +383,26 @@ class TestSchedules:
         assert kinds["conv1"] == kinds["conv2"] == "DecomposedConv"
         assert kinds["fc1"] == kinds["fc2"] == "DecomposedFc"
 
-    def test_full_rank_with_zero_epochs_is_lossless(self):
+    def test_full_rank_with_zero_epochs_keeps_accuracy(self):
+        # At min(M, N) the fc SVD is exact, so the fc layers alone keep the
+        # outputs.  The greedy CP at the convs' full_rank is not exact: the
+        # outputs move by about 14%, and only the accuracy, near chance for
+        # this untrained net, stays.
         data = tiny_dataset()
         net = toy_cnn(seed=8)
-        cfg = TrainConfig(learning_rate=0.01, epochs_per_stage=1, seed=0)
-        # Full ranks: the trivial bound for convs, min(M, N) for fc layers.
         ranks = {"conv1": 24, "conv2": 72, "fc1": 48, "fc2": 10}
         _, base_acc = evaluate(net, data.test_x, data.test_y)
         current = net
-        for name in ("conv1", "conv2", "fc1", "fc2"):
-            layer = current.layer(name)
-            if isinstance(layer, Conv):
-                # The toy convs have one group, so this is the one CpFactors
-                # decompose would make, at tighter power-method settings.
-                cfg = TpmConfig(ranks[name], seed=0, max_inner_iters=500, tol=1e-12)
-                factors = decompose_kernel(DenseTensor.from_array(layer.weights), cfg)
-            else:
-                factors = decompose_layer(layer, ranks[name])
+        for name in ("fc1", "fc2"):
+            current = replace_layer(current, name, decompose_layer(current.layer(name), ranks[name]))
+        dense = batch_outputs(net, data.test_x)
+        diff = np.max(np.abs(batch_outputs(current, data.test_x) - dense))
+        assert diff <= 1e-12 * np.max(np.abs(dense))
+        for name in ("conv1", "conv2"):
+            # The toy convs have one group, so this is the one CpFactors
+            # decompose would make, at tighter power-method settings.
+            cfg = TpmConfig(ranks[name], seed=0, max_inner_iters=500, tol=1e-12)
+            factors = decompose_kernel(DenseTensor.from_array(current.layer(name).weights), cfg)
             current = replace_layer(current, name, factors)
         _, acc = evaluate(current, data.test_x, data.test_y)
         assert acc == pytest.approx(base_acc, abs=1e-6)
