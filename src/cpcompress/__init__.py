@@ -21,7 +21,6 @@ from .cp import (
     CpFactors,
     TpmConfig,
     decompose_kernel,
-    fit_rank1,
     reconstruct,
     residual_curve,
 )
@@ -46,7 +45,6 @@ from .network import (
     load,
     replace_layer,
     save,
-    stage_count,
 )
 from .presets import (
     ALEXNET_DEFAULT_RANKS,

@@ -13,13 +13,14 @@ Stage 2 is depthwise: channel r of its output depends only on channel r of
 its input.  For any factors, the pipeline output equals the direct
 convolution with the reconstructed kernel, up to float rounding.
 
-The matrix products (patch matrices, the 1x1 mixes, fc layers and every
-weight gradient) are batched BLAS calls; the windowed stages (the depthwise
-stage and max-pooling) are one whole-batch pass per kernel offset over
-strided views.  A forward kernel fills an optional ``cache`` dict that its
-backward kernel reads.  Forward kernels optionally take a
-:class:`MultiplyCounter` and add the multiplies they perform, computed from
-the shapes of the operands they multiply.
+The matrix products (patch matrices, the 1x1 mixes, the depthwise stage's
+banded kernel rows, fc layers and every weight gradient) are batched BLAS
+calls; max-pooling is one whole-batch pass per window offset over strided
+views.  A forward kernel fills an optional ``cache`` dict that its backward
+kernel reads.  Forward kernels optionally take a :class:`MultiplyCounter`
+and add the multiplies they perform, computed from the shapes of the
+operands they multiply; the depthwise stage counts its D^2 taps per output
+value, not the zeros of its banded matrices.
 
 ``conv_forward``, ``conv_forward_decomposed``, ``fc_forward`` and
 ``max_pool`` apply the same kernels to a single (unbatched) input.
@@ -29,7 +30,7 @@ import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .cp import CpFactors
 from .tensor import DenseTensor
@@ -163,29 +164,18 @@ def _batch_patches(xpad: np.ndarray, d: int, stride: int, wout: int, hout: int):
     return win.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * d * d, wout * hout)
 
 
-def _spatial(x: np.ndarray, rows: slice, cols: slice, axis: int):
-    """x indexed by rows and cols on spatial axes (axis, axis + 1)."""
-    index = [slice(None)] * x.ndim
-    index[axis], index[axis + 1] = rows, cols
-    return x[tuple(index)]
-
-
-def _pad_batch(x: np.ndarray, p: int, axis: int = 2) -> np.ndarray:
-    """Zero-pad spatial axes (axis, axis + 1) by p on each side."""
+def _pad_batch(x: np.ndarray, p: int) -> np.ndarray:
+    """Zero-pad the spatial axes of a (B, C, W, H) batch by p on each side."""
     if p == 0:
         return x
-    shape = list(x.shape)
-    shape[axis] += 2 * p
-    shape[axis + 1] += 2 * p
-    out = np.zeros(shape)
-    _spatial(out, slice(p, -p), slice(p, -p), axis)[...] = x
+    b, c, w, h = x.shape
+    out = np.zeros((b, c, w + 2 * p, h + 2 * p))
+    out[:, :, p:-p, p:-p] = x
     return out
 
 
-def _unpad_batch(x: np.ndarray, p: int, axis: int = 2) -> np.ndarray:
-    if p == 0:
-        return x
-    return _spatial(x, slice(p, -p), slice(p, -p), axis)
+def _unpad_batch(x: np.ndarray, p: int) -> np.ndarray:
+    return x if p == 0 else x[:, :, p:-p, p:-p]
 
 
 def _offsets(d: int) -> list:
@@ -193,14 +183,10 @@ def _offsets(d: int) -> list:
     return [(j, i) for j in range(d) for i in range(d)]
 
 
-def _strided(x: np.ndarray, j: int, i: int, stride: int, wout: int, hout: int,
-             axis: int = 2):
-    """The (wout, hout) view of spatial axes (axis, axis + 1) of x that kernel
-    offset (j, i) reads for each output position."""
-    return _spatial(
-        x, slice(j, j + stride * wout, stride), slice(i, i + stride * hout, stride),
-        axis,
-    )
+def _strided(x: np.ndarray, j: int, i: int, stride: int, wout: int, hout: int):
+    """The (wout, hout) view of the spatial axes of a (B, C, W, H) array that
+    kernel offset (j, i) reads for each output position."""
+    return x[:, :, j : j + stride * wout : stride, i : i + stride * hout : stride]
 
 
 def _group_rows(out: np.ndarray, gi: int, n: int) -> np.ndarray:
@@ -210,14 +196,63 @@ def _group_rows(out: np.ndarray, gi: int, n: int) -> np.ndarray:
     return out[:, gi * n : (gi + 1) * n].reshape(b, n, w * h)
 
 
-def _tiled_taps(u2: np.ndarray, length: int) -> np.ndarray:
-    """(D, D, length, R): each kernel offset's R depthwise taps repeated
-    along a row, so that a row of a channels-last view and its taps share
-    one contiguous inner loop."""
-    r, d, _ = u2.shape
-    taps = np.empty((d, d, length, r))
-    taps[...] = u2.transpose(1, 2, 0)[:, :, None, :]
-    return taps
+def _diagonals(m: np.ndarray, d: int, stride: int) -> np.ndarray:
+    """Writable (..., d, Hout) view of the last two axes (Hp, Hout) of m:
+    element (i, o) is m[..., stride * o + i, o], the entry a depthwise tap i
+    holds in a banded matrix.  Hp must be stride * (Hout - 1) + d."""
+    hout = m.shape[-1]
+    s_row, s_col = m.strides[-2:]
+    return as_strided(m, m.shape[:-2] + (d, hout),
+                      m.strides[:-2] + (s_row, stride * s_row + s_col))
+
+
+def _band(u2: np.ndarray, j: int, stride: int, band: np.ndarray) -> np.ndarray:
+    """Fill `band`, an (R, Hp, Hout) buffer that is zero off the band, with
+    the banded matrices of kernel row j's taps and return it: for a padded
+    input row z of channel r, (z @ band[r])[o] is the sum over i of
+    u2[r, j, i] * z[stride * o + i].  The stride sets where the band's
+    columns go; every kernel row fills the same entries."""
+    _diagonals(band, u2.shape[1], stride)[...] = u2[:, j, :, None]
+    return band
+
+
+class _RowStack:
+    """A batch's zero-padded rows stacked per channel, for the depthwise
+    stage.
+
+    The (R, rows, Hp) buffer (``shape``) holds image b's padded rows from row b * blk,
+    where blk is the padded extent rounded up to a multiple of the stride;
+    the rows in between and D - stride spare rows at the end are zero.
+    Output row q of the stack reads rows stride * q + j for kernel rows
+    j < D, so image b's output row o is stack row b * blk / stride + o, and
+    the rows past each image's Wout straddle two images.  Kernel row j's
+    reads for the whole batch are then one (R, n, Hp) strided view.
+    """
+
+    def __init__(self, b: int, r: int, w: int, h: int, spec: ConvSpec):
+        p, st = spec.padding, spec.stride
+        self.batch, self.p, self.stride = (b, r, w, h), p, st
+        self.wout = spec.output_extent(w)
+        self.blk = -(-(w + 2 * p) // st) * st
+        self.n = b * self.blk // st
+        self.shape = (r, b * self.blk + max(spec.kernel_size - st, 0), h + 2 * p)
+
+    def images(self, stack: np.ndarray) -> np.ndarray:
+        """The (R, B, W, H) unpadded interior of a stack."""
+        b, r, w, h = self.batch
+        blocks = stack[:, : b * self.blk].reshape(r, b, self.blk, stack.shape[2])
+        return blocks[:, :, self.p : self.p + w, self.p : self.p + h]
+
+    def kernel_rows(self, stack: np.ndarray, j: int) -> np.ndarray:
+        """The (R, n, Hp) rows kernel row j reads, one per output row."""
+        return stack[:, j : j + self.stride * self.n : self.stride]
+
+    def outputs(self, z2: np.ndarray) -> np.ndarray:
+        """The (B, R, Wout * Hout) view of the valid rows of an (R, n, Hout)
+        output."""
+        b, r = self.batch[:2]
+        blocks = z2.reshape(r, b, self.blk // self.stride, z2.shape[2])
+        return blocks[:, :, : self.wout].reshape(r, b, -1).transpose(1, 0, 2)
 
 
 def _scatter_cols(dcols, dxpad, d, stride, wout, hout):
@@ -292,78 +327,58 @@ def batch_conv_backward(dy, weights, spec: ConvSpec, cache, input_grad=True) -> 
 def batch_cp_conv(x, factors, spec: ConvSpec, cache=None, counter=None) -> np.ndarray:
     """Three-stage factorized convolution of a (B, S, W, H) batch.
 
-    ``factors`` holds one (u1, u2, u3) triple per group.  Between the two
-    1x1 mixes the activations are kept channels-last, (B, W, H, R), so that
-    the depthwise stage and its adjoint run as D^2 shift-and-accumulate
-    passes (kernel offsets in row-major order) over strided views of the
-    padded intermediate with long contiguous inner loops.  The mixes and
-    their weight gradients are batched matmuls that read the channels-first
-    neighbours through transposed views.
+    ``factors`` holds one (u1, u2, u3) triple per group.  The R-channel
+    intermediate is channels-first, so the 1x1 mixes are plain matmuls per
+    image (u1 @ xg, u3 @ z2).  For the depthwise stage the padded
+    intermediate is stacked per channel (``_RowStack``), and kernel row j is
+    one GEMM per channel over the whole batch's rows against the banded
+    (Hp, Hout) matrices of that row's taps (``_band``); the D products are
+    summed in kernel-row order.  Each output row is a dot product over one
+    image's input row, so a sample's output does not depend on the batch it
+    came in (the tests check this bit for bit at B = 1, 3 and 32).
     """
     b, _, w, h = x.shape
     wout, hout = spec.output_extent(w), spec.output_extent(h)
     s_g = spec.in_channels // spec.groups
-    d, st, p = spec.kernel_size, spec.stride, spec.padding
+    d, st = spec.kernel_size, spec.stride
     t_g = spec.out_channels // spec.groups
     out = np.empty((b, spec.out_channels, wout, hout))
     saved = []
     for gi, (u1, u2, u3) in enumerate(factors):
         r = u2.shape[0]
         xg = x[:, gi * s_g : (gi + 1) * s_g].reshape(b, s_g, w * h)
-        z = np.matmul(xg.transpose(0, 2, 1), u1.T).reshape(b, w, h, r)
-        zpad = _pad_batch(z, p, axis=1)
-        taps = _tiled_taps(u2, hout)
-        z2 = _strided(zpad, 0, 0, st, wout, hout, axis=1) * taps[0, 0]
+        rs = _RowStack(b, r, w, h, spec)
+        stack = np.zeros(rs.shape)
+        rs.images(stack)[...] = np.matmul(u1, xg).reshape(b, r, w, h).transpose(1, 0, 2, 3)
+        band = np.zeros((r, rs.shape[2], hout))
+        z2 = np.matmul(rs.kernel_rows(stack, 0), _band(u2, 0, st, band))
         term = np.empty_like(z2)
-        for j, i in _offsets(d)[1:]:
-            z2 += np.multiply(
-                _strided(zpad, j, i, st, wout, hout, axis=1), taps[j, i], out=term
-            )
-        z2 = z2.reshape(b, wout * hout, r)
-        np.matmul(u3, z2.transpose(0, 2, 1), out=_group_rows(out, gi, t_g))
+        for j in range(1, d):
+            z2 += np.matmul(rs.kernel_rows(stack, j), _band(u2, j, st, band), out=term)
+        z2 = rs.outputs(z2)
+        np.matmul(u3, z2, out=_group_rows(out, gi, t_g))
         _count(counter, r * xg.size + d * d * z2.size + u3.shape[0] * z2.size)
         if cache is not None:
-            saved.append({"xg": xg, "zpad": zpad, "z2": z2})
+            saved.append({"xg": xg, "stack": stack, "z2": z2})
     if cache is not None:
         cache["groups"] = saved
         cache["hw"] = (w, h)
     return out
 
 
-def _depthwise_input_grad(dz2, u2, spec: ConvSpec, w: int, h: int) -> np.ndarray:
-    """(B, W, H, R) input gradient of the depthwise stage from its
-    (B, Wout, Hout, R) output gradient dz2, as a gather.
-
-    Input position (y, x) adds, over the kernel offsets (j, i) in row-major
-    order, tap (j, i) times dz2 dilated by the stride at (y + p - j,
-    x + p - i).  The dilated gradient sits in a zero buffer with a margin of
-    D - 1 - p (when positive) on each side, so every offset reads one
-    (W, H) window of it.  Off the stride grid and in the margin it is zero,
-    so each position sums the terms a scatter from the output positions
-    would, in the same order, plus exact zeros: the result is bit-identical.
-    With padding (D - 1) / 2 the buffer has the padded input's extent.
-    """
-    b, wout, hout, r = dz2.shape
-    d, st, p = spec.kernel_size, spec.stride, spec.padding
-    m = max(0, d - 1 - p)
-    span_w, span_h = st * (wout - 1) + 1, st * (hout - 1) + 1
-    dilated = np.zeros((b, span_w + 2 * m, span_h + 2 * m, r))
-    dilated[:, m : m + span_w : st, m : m + span_h : st] = dz2
-    taps = _tiled_taps(u2, h)
-    dz = np.zeros((b, w, h, r))
-    term = np.empty_like(dz)
-    for j, i in _offsets(d):
-        y, x = m + p - j, m + p - i
-        dz += np.multiply(dilated[:, y : y + w, x : x + h], taps[j, i], out=term)
-    return dz
-
-
 def batch_cp_conv_backward(dy, factors, spec: ConvSpec, cache, input_grad=True) -> tuple:
     """(d input, [(d u1, d u2, d u3) per group]) of batch_cp_conv; d input
-    is None unless input_grad."""
+    is None unless input_grad.
+
+    The depthwise stage's output gradient is stacked like its input, with
+    zeros on the rows that straddle two images.  Per kernel row j, the
+    input gradient is that times the transposed bands, added onto the rows
+    j reads in a zero buffer of the padded input's extent, and the tap
+    gradient is the read rows' transpose times it, summed along the bands'
+    diagonals; both are one GEMM per channel over the batch."""
     t_g = spec.out_channels // spec.groups
     s_g = spec.in_channels // spec.groups
-    d, st, p = spec.kernel_size, spec.stride, spec.padding
+    d, st = spec.kernel_size, spec.stride
     b, _, wout, hout = dy.shape
     w, h = cache["hw"]
     dx = np.empty((b, spec.in_channels, w, h)) if input_grad else None
@@ -371,19 +386,23 @@ def batch_cp_conv_backward(dy, factors, spec: ConvSpec, cache, input_grad=True) 
     for gi, (u1, u2, u3) in enumerate(factors):
         r = u2.shape[0]
         saved = cache["groups"][gi]
+        stack = saved["stack"]
+        rs = _RowStack(b, r, w, h, spec)
         dy_g = dy[:, gi * t_g : (gi + 1) * t_g].reshape(b, t_g, wout * hout)
-        du3 = np.matmul(dy_g, saved["z2"]).sum(axis=0)
-        dz2 = np.matmul(dy_g.transpose(0, 2, 1), u3).reshape(b, wout, hout, r)
+        du3 = np.matmul(dy_g, saved["z2"].transpose(0, 2, 1)).sum(axis=0)
+        dz2 = np.zeros((r, rs.n, hout))
+        np.matmul(u3.T, dy_g, out=rs.outputs(dz2))
 
-        dz = _depthwise_input_grad(dz2, u2, spec, w, h)
-        zpad = saved["zpad"]
+        dstack = np.zeros(rs.shape)
         du2 = np.empty_like(u2)
-        term = np.empty_like(dz2)
-        rows = term.reshape(b * wout, hout * r)
-        for j, i in _offsets(d):
-            np.multiply(_strided(zpad, j, i, st, wout, hout, axis=1), dz2, out=term)
-            du2[:, j, i] = rows.sum(axis=0).reshape(hout, r).sum(axis=0)
-        dz = dz.reshape(b, w * h, r).transpose(0, 2, 1)
+        band = np.zeros((r, rs.shape[2], hout))
+        term = np.empty((r, rs.n, rs.shape[2]))
+        for j in range(d):
+            taps = np.matmul(rs.kernel_rows(stack, j).transpose(0, 2, 1), dz2)
+            du2[:, j] = _diagonals(taps, d, st).sum(axis=-1)
+            grad_rows = rs.kernel_rows(dstack, j)
+            grad_rows += np.matmul(dz2, _band(u2, j, st, band).transpose(0, 2, 1), out=term)
+        dz = np.ascontiguousarray(rs.images(dstack).transpose(1, 0, 2, 3)).reshape(b, r, w * h)
 
         du1 = np.matmul(dz, saved["xg"].transpose(0, 2, 1)).sum(axis=0)
         dfactors.append((du1, du2, du3))

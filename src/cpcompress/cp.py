@@ -18,7 +18,6 @@ from .tensor import DenseTensor, _freeze, _frozen
 __all__ = [
     "TpmConfig",
     "CpFactors",
-    "fit_rank1",
     "decompose_kernel",
     "reconstruct",
     "residual_curve",
@@ -176,22 +175,6 @@ def _fit_rank1_array(
         if converged:
             break
     return a, b, c, scale
-
-
-def fit_rank1(target: DenseTensor, cfg: TpmConfig) -> tuple:
-    """Fit one rank-1 term to a 3-way tensor.
-
-    Returns (a, b, c, scale): unit mode vectors and a non-negative scale
-    locally minimizing the Frobenius distance from scale * a o b o c to the
-    target.  A zero target yields a zero-scale term (not an error).
-    """
-    arr = target.array
-    if arr.ndim != 3:
-        raise ValueError(f"target must be 3-way, got {arr.ndim}-way")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("target contains non-finite values")
-    rng = np.random.default_rng(cfg.seed)
-    return _fit_rank1_array(arr, rng, cfg.max_inner_iters, cfg.tol)
 
 
 def _check_kernel(kernel: DenseTensor) -> np.ndarray:

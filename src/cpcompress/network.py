@@ -58,7 +58,6 @@ __all__ = [
     "replace_layer",
     "decompose_layer",
     "check_rank",
-    "stage_count",
     "forward",
     "save",
     "load",
@@ -609,12 +608,6 @@ def _same_layer(a, b) -> bool:
     entry_a, blobs_a = _layer_manifest(a)
     entry_b, blobs_b = _layer_manifest(b)
     return entry_a == entry_b and all(map(_same_bits, blobs_a, blobs_b))
-
-
-def stage_count(net: NetworkSpec) -> int:
-    """Number of computational stages: a factorized conv slot holds three,
-    a factorized fc slot two, everything else one."""
-    return sum(layer.stages for layer in net.layers)
 
 
 def forward(net: NetworkSpec, x, counter: MultiplyCounter | None = None) -> np.ndarray:

@@ -121,37 +121,40 @@ def per_image_render(labels, noise, rng):
     return images
 
 
-def scatter_cp_conv_backward(dy, factors, spec, cache):
-    """Reference for conv.batch_cp_conv_backward with the depthwise stage's
-    input-side adjoint as a scatter: each output position's gradient times
-    each tap is added onto a zero-padded channels-last input gradient,
-    kernel offsets in row-major order."""
+def scatter_cp_conv_backward(x, dy, factors, spec):
+    """Reference gradients (d input, [(d u1, d u2, d u3) per group]) of
+    conv.batch_cp_conv at input x, computed apart from conv's kernels: the
+    three stages run channels-last, the depthwise stage as D^2 passes of
+    strided views times taps, and its input-side adjoint as a scatter of
+    each output position's gradient times each tap onto a zero-padded input
+    gradient, kernel offsets in row-major order."""
     t_g = spec.out_channels // spec.groups
     s_g = spec.in_channels // spec.groups
     d, st, p = spec.kernel_size, spec.stride, spec.padding
-    b, _, wout, hout = dy.shape
-    w, h = cache["hw"]
+    b, _, w, h = x.shape
+    wout, hout = dy.shape[2:]
     dx_groups = []
     dfactors = []
     for gi, (u1, u2, u3) in enumerate(factors):
         r = u2.shape[0]
-        saved = cache["groups"][gi]
+        xg = x[:, gi * s_g : (gi + 1) * s_g].reshape(b, s_g, w * h)
+        zpad = np.zeros((b, w + 2 * p, h + 2 * p, r))
+        zpad[:, p : p + w, p : p + h] = np.matmul(xg.transpose(0, 2, 1), u1.T).reshape(b, w, h, r)
+        windows = {
+            (j, i): (slice(None), slice(j, j + st * wout, st), slice(i, i + st * hout, st))
+            for j in range(d) for i in range(d)
+        }
+        z2 = sum(zpad[window] * u2[:, j, i] for (j, i), window in windows.items())
         dy_g = dy[:, gi * t_g : (gi + 1) * t_g].reshape(b, t_g, wout * hout)
-        du3 = np.matmul(dy_g, saved["z2"]).sum(axis=0)
+        du3 = np.matmul(dy_g, z2.reshape(b, wout * hout, r)).sum(axis=0)
         dz2 = np.matmul(dy_g.transpose(0, 2, 1), u3).reshape(b, wout, hout, r)
-        zpad = saved["zpad"]
         du2 = np.empty_like(u2)
         dzpad = np.zeros(zpad.shape)
-        term = np.empty_like(dz2)
-        rows = term.reshape(b * wout, hout * r)
-        for j in range(d):
-            for i in range(d):
-                window = (slice(None), slice(j, j + st * wout, st), slice(i, i + st * hout, st))
-                np.multiply(zpad[window], dz2, out=term)
-                du2[:, j, i] = rows.sum(axis=0).reshape(hout, r).sum(axis=0)
-                dzpad[window] += np.multiply(dz2, u2[:, j, i], out=term)
+        for (j, i), window in windows.items():
+            du2[:, j, i] = (zpad[window] * dz2).sum(axis=(0, 1, 2))
+            dzpad[window] += dz2 * u2[:, j, i]
         dz = dzpad[:, p : p + w, p : p + h].reshape(b, w * h, r).transpose(0, 2, 1)
-        du1 = np.matmul(dz, saved["xg"].transpose(0, 2, 1)).sum(axis=0)
+        du1 = np.matmul(dz, xg.transpose(0, 2, 1)).sum(axis=0)
         dfactors.append((du1, du2, du3))
         dx_groups.append(np.matmul(u1.T, dz).reshape(b, s_g, w, h))
     return np.concatenate(dx_groups, axis=1), dfactors
@@ -299,3 +302,31 @@ def strided_check_net(rng: np.random.Generator):
            rng.standard_normal(5) * 0.1),
     )
     return NetworkSpec((2, 15, 15), layers)
+
+
+def unpadded_check_net(rng: np.random.Generator):
+    """A tiny network whose factorized convolution has D = 5, no padding and
+    stride 3, behind a dense convolution so that the factorized layer's
+    input gradient is checked too."""
+    from cpcompress.conv import ConvSpec
+    from cpcompress.network import Flatten, ReLU
+
+    conv = ConvSpec(3, 2, 3, stride=1, padding=1)
+    dec_spec = ConvSpec(4, 3, 5, stride=3, padding=0)
+    dec_factors = (
+        CpFactors(
+            rng.standard_normal((2, 3)) * 0.5,
+            rng.standard_normal((2, 5, 5)) * 0.5,
+            rng.standard_normal((4, 2)) * 0.5,
+        ),
+    )
+    layers = (
+        Conv("conv_in", conv, rng.standard_normal(conv.kernel_shape) * 0.5,
+             rng.standard_normal(3) * 0.1),
+        ReLU("relu_in"),
+        DecomposedConv("conv_u", dec_spec, dec_factors, rng.standard_normal(4) * 0.1),
+        Flatten("flatten"),
+        Fc("fc_o", rng.standard_normal((5, 4 * 4 * 4)) * 0.3,
+           rng.standard_normal(5) * 0.1),
+    )
+    return NetworkSpec((2, 14, 14), layers)

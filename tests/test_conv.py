@@ -6,6 +6,8 @@ import pytest
 from cpcompress.conv import (
     ConvSpec,
     MultiplyCounter,
+    batch_conv,
+    batch_conv_backward,
     batch_cp_conv,
     batch_cp_conv_backward,
     conv_forward,
@@ -210,6 +212,18 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+# Normwise relative tolerance of the factorized kernels against references
+# that sum in another order: the banded products and the channels-last
+# passes differ only in rounding, here well under 1e-14, so this leaves a
+# few thousand float64 ulps of the largest value.
+_REFERENCE_RTOL = 1e-12
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= _REFERENCE_RTOL * np.abs(want).max()
+
+
 def _triples(rng, groups, t, s, d, rank):
     """(u1, u2, u3) per group, as the batched kernels take them."""
     return [(f.u1, f.u2, f.u3)
@@ -221,7 +235,7 @@ class TestCpConvBackward:
     @pytest.mark.parametrize("d", [1, 3, 5])
     @pytest.mark.parametrize("padding", [0, 1, 2])
     @pytest.mark.parametrize("stride", [1, 2, 3])
-    def test_gather_matches_scatter_bit_for_bit(self, stride, padding, d, groups):
+    def test_matches_scatter_and_direct_references(self, stride, padding, d, groups):
         # W != H, each rounded up to the least extent the geometry accepts;
         # with stride > d some input rows and columns get no gradient.
         rng = np.random.default_rng(100 * stride + 10 * padding + d + groups)
@@ -229,15 +243,52 @@ class TestCpConvBackward:
                         groups=groups)
         w, h = (e + (d - 2 * padding - e) % stride for e in (7, 10))
         factors = _triples(rng, groups, 4, 2, d, 3)
+        x = rng.standard_normal((3, 2 * groups, w, h))
         cache = {}
-        y = batch_cp_conv(rng.standard_normal((3, 2 * groups, w, h)), factors, spec, cache)
+        y = batch_cp_conv(x, factors, spec, cache)
         dy = rng.standard_normal(y.shape)
         dx, dfactors = batch_cp_conv_backward(dy, factors, spec, cache)
-        ref_dx, ref_dfactors = scatter_cp_conv_backward(dy, factors, spec, cache)
-        np.testing.assert_array_equal(_bits(dx), _bits(ref_dx))
+
+        ref_dx, ref_dfactors = scatter_cp_conv_backward(x, dy, factors, spec)
+        _assert_close(dx, ref_dx)
         for got, ref in zip(dfactors, ref_dfactors):
             for a, b in zip(got, ref):
-                np.testing.assert_array_equal(_bits(a), _bits(b))
+                _assert_close(a, b)
+
+        kernel = np.concatenate([reconstruct(CpFactors(*f)).array for f in factors])
+        dense_cache = {}
+        _assert_close(y, batch_conv(x, kernel, spec, dense_cache))
+        _assert_close(dx, batch_conv_backward(dy, kernel, spec, dense_cache)[0])
+
+
+class TestCpConvPerSample:
+    # The depthwise stage's GEMMs run over the whole batch's rows; a sample's
+    # output and input gradient must still come out the same bits at any
+    # batch size, because the trainer slices uncached passes of per-sample
+    # layers.
+    @pytest.mark.parametrize("spec, rank, extent", [
+        (ConvSpec(8, 3, 3, padding=1), 6, 16),
+        (ConvSpec(16, 8, 3, padding=1), 18, 8),
+        (ConvSpec(8, 4, 3, stride=2, padding=1, groups=2), 5, 9),
+    ], ids=["toy-conv1", "toy-conv2", "stride2-groups2"])
+    def test_batch_of_32_matches_batches_of_1_and_3(self, spec, rank, extent):
+        rng = np.random.default_rng(12)
+        g = spec.groups
+        factors = _triples(rng, g, spec.out_channels // g, spec.in_channels // g,
+                           spec.kernel_size, rank)
+        x = rng.standard_normal((32, spec.in_channels, extent, extent))
+        cache = {}
+        y = batch_cp_conv(x, factors, spec, cache)
+        dy = rng.standard_normal(y.shape)
+        dx, _ = batch_cp_conv_backward(dy, factors, spec, cache)
+        for size in (1, 3):
+            for start in range(0, 32 - 32 % size, size):
+                part = slice(start, start + size)
+                part_cache = {}
+                y_part = batch_cp_conv(x[part], factors, spec, part_cache)
+                dx_part, _ = batch_cp_conv_backward(dy[part], factors, spec, part_cache)
+                np.testing.assert_array_equal(_bits(y_part), _bits(y[part]))
+                np.testing.assert_array_equal(_bits(dx_part), _bits(dx[part]))
 
 
 class TestFcForward:

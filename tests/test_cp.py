@@ -8,7 +8,6 @@ from cpcompress.cp import (
     TpmConfig,
     _fit_rank1_array,
     decompose_kernel,
-    fit_rank1,
     reconstruct,
     residual_curve,
 )
@@ -35,13 +34,11 @@ class TestTpmConfig:
 
 class TestFitRank1:
     def test_exact_rank1_recovered(self):
-        target = DenseTensor.from_array(
-            2.0 * np.einsum("i,j,k->ijk", [1.0, 0.0], [0.0, 1.0], [1.0, 0.0])
-        )
-        a, b, c, scale = fit_rank1(target, TpmConfig(rank=1, seed=3, **PRECISE))
+        target = 2.0 * np.einsum("i,j,k->ijk", [1.0, 0.0], [0.0, 1.0], [1.0, 0.0])
+        a, b, c, scale = _fit_rank1_array(target, np.random.default_rng(3), 500, 1e-13)
         assert scale == pytest.approx(2.0, abs=1e-10)
         rebuilt = scale * np.einsum("i,j,k->ijk", a, b, c)
-        np.testing.assert_allclose(rebuilt, target.array, atol=1e-10)
+        np.testing.assert_allclose(rebuilt, target, atol=1e-10)
 
     def test_noisy_rank1_scale(self):
         rng = np.random.default_rng(11)
@@ -50,26 +47,15 @@ class TestFitRank1:
         c = rng.standard_normal(3)
         clean = np.einsum("i,j,k->ijk", a, b, c)
         noisy = clean + 1e-9 * rng.standard_normal(clean.shape)
-        *_, scale = fit_rank1(DenseTensor.from_array(noisy), TpmConfig(rank=1, seed=0, **PRECISE))
+        *_, scale = _fit_rank1_array(noisy, np.random.default_rng(0), 500, 1e-13)
         expected = np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(c)
         assert scale == pytest.approx(expected, abs=1e-6)
 
     def test_zero_target_gives_zero_scale(self):
-        zero = DenseTensor.from_array(np.zeros((2, 3, 4)))
-        *vectors, scale = fit_rank1(zero, TpmConfig(rank=1))
+        *vectors, scale = _fit_rank1_array(np.zeros((2, 3, 4)), np.random.default_rng(0), 50, 1e-6)
         assert scale == 0.0
         for v in vectors:
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_nan_rejected(self):
-        bad = np.ones((2, 2, 2))
-        bad[0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            fit_rank1(DenseTensor.from_array(bad), TpmConfig(rank=1))
-
-    def test_needs_three_modes(self):
-        with pytest.raises(ValueError):
-            fit_rank1(DenseTensor.from_array(np.ones((2, 2))), TpmConfig(rank=1))
 
     def test_objective_non_increasing_per_sweep(self):
         # The fitted scale is the inner product with the current rank-1
@@ -137,6 +123,16 @@ class TestDecomposeKernel:
             decompose_kernel(
                 DenseTensor.from_array(np.ones((2, 2, 3, 1))), TpmConfig(rank=1)
             )
+
+    def test_nan_rejected(self):
+        bad = np.ones((2, 2, 3, 3))
+        bad[0, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError):
+            decompose_kernel(DenseTensor.from_array(bad), TpmConfig(rank=1))
+
+    def test_needs_four_modes(self):
+        with pytest.raises(ValueError):
+            decompose_kernel(DenseTensor.from_array(np.ones((2, 2, 3))), TpmConfig(rank=1))
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
