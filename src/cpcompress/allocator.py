@@ -67,7 +67,12 @@ class SensitivityReport:
             if line.startswith("group\t"):
                 continue
             group, name, acc, loss = line.split("\t")
-            entries.append(LayerSensitivity(name, group, float(acc), float(loss)))
+            if any(e.name == name for e in entries):
+                raise ValueError(f"layer {name!r} is listed twice")
+            acc, loss = float(acc), float(loss)
+            if not (np.isfinite(acc) and np.isfinite(loss)):
+                raise ValueError(f"layer {name!r} has a non-finite accuracy or loss")
+            entries.append(LayerSensitivity(name, group, acc, loss))
         return cls(baseline, tuple(entries))
 
 
@@ -119,15 +124,12 @@ def allocate_ranks(report: SensitivityReport, budgets: dict) -> dict:
             )
         losses = [max(0.0, e.accuracy_loss) for e in entries]
         ranks = largest_remainder(losses, budget)
-        # Guarantee rank >= 1, taking units from the largest allocations.
-        donors = sorted(range(len(ranks)), key=lambda i: -ranks[i])
-        for i, r in enumerate(ranks):
-            if r == 0:
-                for j in donors:
-                    if ranks[j] > 1:
-                        ranks[j] -= 1
-                        ranks[i] = 1
-                        break
+        # Guarantee rank >= 1: each unit comes from the largest allocation at
+        # that moment (the earlier layer on ties), which is at least 2 while
+        # a zero is left because the budget covers every layer.
+        for i in [i for i, r in enumerate(ranks) if r == 0]:
+            ranks[ranks.index(max(ranks))] -= 1
+            ranks[i] = 1
         for e, r in zip(entries, ranks):
             out[e.name] = int(r)
     return out

@@ -142,8 +142,8 @@ class _Refused(Exception):
 def _read_ranks(path, names, complete: bool = False) -> dict:
     """The ``layer<TAB>rank`` lines of a ranks file (blank, ``#`` and
     ``layer<TAB>`` header lines skipped).  Every name must be one of `names`,
-    the target network's decomposable layers, and with `complete` every one
-    of them must have a rank."""
+    the target network's decomposable layers, and appear once; with
+    `complete` every one of them must have a rank."""
     ranks = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -152,6 +152,8 @@ def _read_ranks(path, names, complete: bool = False) -> dict:
                 if not line or line.startswith("#") or line.startswith("layer\t"):
                     continue
                 name, value = line.split("\t")
+                if name in ranks:
+                    raise ValueError(f"layer {name!r} is listed twice")
                 ranks[name] = int(value)
     except OSError as exc:
         raise _Refused(EXIT_FILE, f"cannot read ranks file: {exc}") from None

@@ -2,8 +2,11 @@
 
 Every kernel works on a whole batch: inputs are (B, C, W, H) for the spatial
 layers and (B, N) for the fully connected ones.  The direct convolution
-evaluates a (T, S, D, D) kernel as one matrix product over patch matrices.
-The factorized convolution runs three cheaper stages instead:
+evaluates a (T, S/g, D, D) kernel with g channel groups as one matmul: the
+batch's patch matrix over all S input channels, viewed as (B, g, S/g*D*D,
+W'*H'), against the kernel viewed as (g, T/g, S/g*D*D), so the groups are a
+batch axis of the product.  The factorized convolution runs three cheaper
+stages instead:
 
   1. a 1x1 convolution mixing S input channels down to R (stride 1, no pad),
   2. a per-channel D x D spatial convolution carrying the stride and padding,
@@ -189,13 +192,6 @@ def _strided(x: np.ndarray, j: int, i: int, stride: int, wout: int, hout: int):
     return x[:, :, j : j + stride * wout : stride, i : i + stride * hout : stride]
 
 
-def _group_rows(out: np.ndarray, gi: int, n: int) -> np.ndarray:
-    """Channels [gi*n, (gi+1)*n) of a (B, C, W, H) array as a (B, n, W*H)
-    view, for a matmul to write one group's output in place."""
-    b, _, w, h = out.shape
-    return out[:, gi * n : (gi + 1) * n].reshape(b, n, w * h)
-
-
 def _diagonals(m: np.ndarray, d: int, stride: int) -> np.ndarray:
     """Writable (..., d, Hout) view of the last two axes (Hp, Hout) of m:
     element (i, o) is m[..., stride * o + i, o], the entry a depthwise tap i
@@ -274,25 +270,17 @@ def _scatter_cols(dcols, dxpad, d, stride, wout, hout):
 def batch_conv(x, weights, spec: ConvSpec, cache=None, counter=None) -> np.ndarray:
     """Direct convolution of a (B, S, W, H) batch with a (T, S/g, D, D) kernel."""
     b = x.shape[0]
-    w, h = x.shape[2], x.shape[3]
-    wout, hout = spec.output_extent(w), spec.output_extent(h)
+    wout, hout = spec.output_extent(x.shape[2]), spec.output_extent(x.shape[3])
     g = spec.groups
-    s_g = spec.in_channels // g
-    t_g = spec.out_channels // g
-    xpad = _pad_batch(x, spec.padding)
+    cols = _batch_patches(_pad_batch(x, spec.padding), spec.kernel_size, spec.stride,
+                          wout, hout)
     out = np.empty((b, spec.out_channels, wout, hout))
-    cols_all = []
-    for gi in range(g):
-        cols = _batch_patches(
-            xpad[:, gi * s_g : (gi + 1) * s_g], spec.kernel_size, spec.stride,
-            wout, hout,
-        )
-        kmat = weights[gi * t_g : (gi + 1) * t_g].reshape(t_g, -1)
-        np.matmul(kmat, cols, out=_group_rows(out, gi, t_g))
-        _count(counter, t_g * cols.size)
-        cols_all.append(cols)
+    np.matmul(weights.reshape(g, spec.out_channels // g, -1),
+              cols.reshape(b, g, -1, wout * hout),
+              out=out.reshape(b, g, -1, wout * hout))
+    _count(counter, spec.out_channels // g * cols.size)
     if cache is not None:
-        cache["cols"] = cols_all
+        cache["cols"] = cols
         cache["x_shape"] = x.shape
     return out
 
@@ -301,26 +289,18 @@ def batch_conv_backward(dy, weights, spec: ConvSpec, cache, input_grad=True) -> 
     """(d input, d weights) of batch_conv, from the cache its forward filled;
     d input is None unless input_grad."""
     g = spec.groups
-    s_g = spec.in_channels // g
-    t_g = spec.out_channels // g
     d, p = spec.kernel_size, spec.padding
-    b, _, wout, hout = dy.shape
+    b, t, wout, hout = dy.shape
     w, h = cache["x_shape"][2:]
-    dw = np.empty_like(weights)
-    dxpad = np.zeros((b, spec.in_channels, w + 2 * p, h + 2 * p)) if input_grad else None
-    for gi in range(g):
-        dy_g = dy[:, gi * t_g : (gi + 1) * t_g].reshape(b, t_g, wout * hout)
-        cols = cache["cols"][gi]
-        dw[gi * t_g : (gi + 1) * t_g] = (
-            np.matmul(dy_g, cols.transpose(0, 2, 1)).sum(axis=0).reshape(t_g, s_g, d, d)
-        )
-        if not input_grad:
-            continue
-        kmat = weights[gi * t_g : (gi + 1) * t_g].reshape(t_g, -1)
-        _scatter_cols(np.matmul(kmat.T, dy_g), dxpad[:, gi * s_g : (gi + 1) * s_g],
-                      d, spec.stride, wout, hout)
+    cols = cache["cols"].reshape(b, g, -1, wout * hout)
+    dy_g = dy.reshape(b, g, t // g, wout * hout)
+    dw = np.matmul(dy_g, cols.transpose(0, 1, 3, 2)).sum(axis=0).reshape(weights.shape)
     if not input_grad:
         return None, dw
+    dxpad = np.zeros((b, spec.in_channels, w + 2 * p, h + 2 * p))
+    kmat = weights.reshape(g, t // g, -1)
+    _scatter_cols(np.matmul(kmat.transpose(0, 2, 1), dy_g), dxpad, d, spec.stride,
+                  wout, hout)
     return np.ascontiguousarray(_unpad_batch(dxpad, p)), dw
 
 
@@ -356,7 +336,7 @@ def batch_cp_conv(x, factors, spec: ConvSpec, cache=None, counter=None) -> np.nd
         for j in range(1, d):
             z2 += np.matmul(rs.kernel_rows(stack, j), _band(u2, j, st, band), out=term)
         z2 = rs.outputs(z2)
-        np.matmul(u3, z2, out=_group_rows(out, gi, t_g))
+        np.matmul(u3, z2, out=out.reshape(b, spec.groups, t_g, -1)[:, gi])
         _count(counter, r * xg.size + d * d * z2.size + u3.shape[0] * z2.size)
         if cache is not None:
             saved.append({"xg": xg, "stack": stack, "z2": z2})
@@ -407,7 +387,7 @@ def batch_cp_conv_backward(dy, factors, spec: ConvSpec, cache, input_grad=True) 
         du1 = np.matmul(dz, saved["xg"].transpose(0, 2, 1)).sum(axis=0)
         dfactors.append((du1, du2, du3))
         if input_grad:
-            np.matmul(u1.T, dz, out=_group_rows(dx, gi, s_g))
+            np.matmul(u1.T, dz, out=dx.reshape(b, spec.groups, s_g, -1)[:, gi])
     return dx, dfactors
 
 

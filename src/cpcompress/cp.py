@@ -177,7 +177,10 @@ def _fit_rank1_array(
     return a, b, c, scale
 
 
-def _check_kernel(kernel: DenseTensor) -> np.ndarray:
+def _start(kernel: DenseTensor, terms: int, what: str) -> tuple:
+    """(checked (T, S, D, D) kernel array, its (S, D*D, T) work copy) for a
+    greedy run of `terms` terms; `what` names that count in the error when
+    it exceeds the trivial bound."""
     arr = kernel.array
     if arr.ndim != 4:
         raise ValueError(f"kernel must be 4-way, got {arr.ndim}-way")
@@ -185,7 +188,10 @@ def _check_kernel(kernel: DenseTensor) -> np.ndarray:
         raise ValueError("kernel spatial extents must be square")
     if not np.all(np.isfinite(arr)):
         raise ValueError("kernel contains non-finite values")
-    return arr
+    t, s, d, _ = arr.shape
+    if terms > s * d * d * t:
+        raise ValueError(f"{what} {terms} exceeds the trivial bound {s * d * d * t}")
+    return arr, arr.transpose(1, 2, 3, 0).reshape(s, d * d, t).copy()
 
 
 def _greedy_terms(work: np.ndarray, count: int, cfg: TpmConfig):
@@ -205,13 +211,8 @@ def decompose_kernel(kernel: DenseTensor, cfg: TpmConfig) -> CpFactors:
     residual one at a time.  The a-vectors become rows of u1, the b-vectors
     the (reshaped) spatial slices of u2, and scale * c the columns of u3.
     """
-    arr = _check_kernel(kernel)
+    arr, work = _start(kernel, cfg.rank, "rank")
     t, s, d, _ = arr.shape
-    bound = s * d * d * t
-    if cfg.rank > bound:
-        raise ValueError(f"rank {cfg.rank} exceeds the trivial bound {bound}")
-
-    work = arr.transpose(1, 2, 3, 0).reshape(s, d * d, t).copy()
     u1 = np.empty((cfg.rank, s))
     u2 = np.empty((cfg.rank, d, d))
     u3 = np.empty((t, cfg.rank))
@@ -236,16 +237,10 @@ def residual_curve(kernel: DenseTensor, max_rank: int, cfg: TpmConfig) -> list:
     """
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
-    arr = _check_kernel(kernel)
-    t, s, d, _ = arr.shape
-    if max_rank > s * d * d * t:
-        raise ValueError(f"max_rank {max_rank} exceeds the trivial bound {s * d * d * t}")
-
+    arr, work = _start(kernel, max_rank, "max_rank")
     total = float(np.linalg.norm(arr))
     if total == 0.0:
         return [0.0] * max_rank
-
-    work = arr.transpose(1, 2, 3, 0).reshape(s, d * d, t).copy()
     curve = []
     for _ in _greedy_terms(work, max_rank, cfg):
         curve.append(float(np.linalg.norm(work)) / total)

@@ -154,11 +154,6 @@ def mean_squared_error(outputs: np.ndarray, targets: np.ndarray):
 # Samples per slice of an uncached pass: the default training batch, so an
 # evaluation's transient is no larger than a training step's.
 _SLICE = 32
-# Inputs per forward of a scoring pass.  ``_forward`` streams a chunk through
-# the leading per-sample layers in slices of ``_SLICE``, so only their output
-# spans the chunk.  The fc layers take the whole chunk in one product, whose
-# rounding depends on its row count, so the chunk size is part of the scores.
-_SCORE_CHUNK = 512
 
 
 def _params(net: NetworkSpec) -> list:
@@ -208,18 +203,20 @@ def _forward(net: NetworkSpec, params: list, x, with_cache: bool):
     return value, caches
 
 
-def _backward(net: NetworkSpec, params: list, caches, dout) -> list:
-    """Per-layer gradient dicts, in network order.  Nothing reads the first
-    layer's input gradient, so that layer is told to skip it."""
-    grads = []
-    dvalue = dout
+def _step(net: NetworkSpec, params: list, x, targets, loss_fn) -> tuple:
+    """(outputs, loss, per-layer gradient dicts in network order) of one
+    batch.  Nothing reads the first layer's input gradient, so that layer is
+    told to skip it."""
+    out, caches = _forward(net, params, x, True)
+    loss, dvalue = loss_fn(out, targets)
+    if not np.isfinite(loss):
+        raise DivergedError(f"non-finite loss {loss}")
+    grads = [{} for _ in net.layers]
     for index in reversed(range(len(net.layers))):
-        layer_grads = {}
         dvalue = net.layers[index].backward(
-            params[index], dvalue, caches[index], layer_grads, input_grad=index > 0
+            params[index], dvalue, caches[index], grads[index], input_grad=index > 0
         )
-        grads.append(layer_grads)
-    return grads[::-1]
+    return out, loss, grads
 
 
 def _as_batch(inputs: np.ndarray, input_shape) -> np.ndarray:
@@ -236,12 +233,8 @@ def batch_outputs(net: NetworkSpec, inputs: np.ndarray) -> np.ndarray:
 
 
 def _scores(net, params, inputs: np.ndarray, labels) -> tuple:
-    """(mean cross-entropy, accuracy), forwarding _SCORE_CHUNK inputs at a time."""
-    parts = []
-    for start in range(0, inputs.shape[0], _SCORE_CHUNK):
-        out, _ = _forward(net, params, inputs[start : start + _SCORE_CHUNK], False)
-        parts.append(out)
-    logits = np.concatenate(parts, axis=0)
+    """(mean cross-entropy, accuracy) of one uncached pass over the set."""
+    logits, _ = _forward(net, params, inputs, False)
     loss, _ = softmax_cross_entropy(logits, labels)
     return loss, float((logits.argmax(axis=1) == labels).mean())
 
@@ -252,16 +245,13 @@ def backward(net: NetworkSpec, inputs, targets, loss_fn=softmax_cross_entropy) -
     Returns {(layer_name, param_name): gradient array}.  The default loss
     is softmax cross-entropy against integer labels.
     """
-    params = _params(net)
-    out, caches = _forward(net, params, _as_batch(inputs, net.input_shape), True)
-    loss, dout = loss_fn(out, targets)
-    if not np.isfinite(loss):
-        raise DivergedError(f"non-finite loss {loss}")
-    flat = {}
-    for layer, grads in zip(net.layers, _backward(net, params, caches, dout)):
-        for key, grad in grads.items():
-            flat[(layer.name, key)] = grad
-    return flat
+    x = _as_batch(inputs, net.input_shape)
+    _, _, grads = _step(net, _params(net), x, targets, loss_fn)
+    return {
+        (layer.name, key): grad
+        for layer, layer_grads in zip(net.layers, grads)
+        for key, grad in layer_grads.items()
+    }
 
 
 def evaluate(net: NetworkSpec, inputs, labels) -> tuple:
@@ -269,26 +259,30 @@ def evaluate(net: NetworkSpec, inputs, labels) -> tuple:
     return _scores(net, _params(net), _as_batch(inputs, net.input_shape), labels)
 
 
-def _run_sgd(net, params, data: Dataset, cfg: TrainConfig, epochs: int):
+def finetune(net: NetworkSpec, data: Dataset, cfg: TrainConfig, epochs: int | None = None):
+    """SGD over every parameter of every layer; nothing is frozen.
+
+    Runs ``epochs`` (default cfg.epochs_per_stage) epochs and returns
+    (trained network, per-epoch stats).  Raises :class:`DivergedError` if
+    the activations or the loss stop being finite.
+    """
+    params = _params(net)
     rng = np.random.default_rng(cfg.seed)
     n = data.train_x.shape[0]
     history = []
-    for epoch in range(epochs):
+    for epoch in range(cfg.epochs_per_stage if epochs is None else int(epochs)):
         rate = cfg.rate_for(epoch)
         order = rng.permutation(n)
         loss_sum = 0.0
         hit_sum = 0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            xb = data.train_x[batch]
             yb = data.train_y[batch]
-            out, caches = _forward(net, params, xb, True)
-            loss, dout = softmax_cross_entropy(out, yb)
-            if not np.isfinite(loss):
-                raise DivergedError(f"non-finite loss at epoch {epoch}")
+            out, loss, per_layer = _step(
+                net, params, data.train_x[batch], yb, softmax_cross_entropy
+            )
             loss_sum += loss * batch.size
             hit_sum += int((out.argmax(axis=1) == yb).sum())
-            per_layer = _backward(net, params, caches, dout)
             for p, grads in zip(params, per_layer):
                 for key, grad in grads.items():
                     p[key] = p[key] - rate * grad
@@ -296,19 +290,6 @@ def _run_sgd(net, params, data: Dataset, cfg: TrainConfig, epochs: int):
         history.append(
             EpochStats(epoch, rate, loss_sum / n, hit_sum / n, test_loss, test_acc)
         )
-    return history
-
-
-def finetune(net: NetworkSpec, data: Dataset, cfg: TrainConfig, epochs: int | None = None):
-    """SGD over every parameter of every layer; nothing is frozen.
-
-    Runs ``epochs`` (default cfg.epochs_per_stage) epochs and returns
-    (trained network, per-epoch stats).  Raises :class:`DivergedError`,
-    with the stats so far attached, if the loss stops being finite.
-    """
-    params = _params(net)
-    n_epochs = cfg.epochs_per_stage if epochs is None else int(epochs)
-    history = _run_sgd(net, params, data, cfg, n_epochs)
     # The trained arrays are fresh and nothing else holds them: freezing them
     # in place lets the new layers adopt them instead of copying.
     layers = tuple(
@@ -333,6 +314,19 @@ def _factorize(net: NetworkSpec, name: str, rank: int, cfg: TrainConfig, index: 
     return replace_layer(net, name, decompose_layer(net.layer(name), rank, seed=seed))
 
 
+def _stage(candidate: NetworkSpec, data: Dataset, cfg: TrainConfig, name: str,
+           rank: int, pre: tuple, epochs: int) -> tuple:
+    """Fine-tune `candidate` for `epochs` epochs.  Returns the tuned network,
+    or None if it diverged, and the stage's record from the (loss, accuracy)
+    `pre` to the last epoch's test scores (NaN after a divergence)."""
+    try:
+        tuned, history = finetune(candidate, data, cfg, epochs=epochs)
+    except DivergedError:
+        return None, StageRecord(name, rank, *pre, float("nan"), float("nan"), epochs)
+    last = history[-1]
+    return tuned, StageRecord(name, rank, *pre, last.test_loss, last.test_accuracy, epochs)
+
+
 def iterative_compress(net: NetworkSpec, data: Dataset, ranks: dict, cfg: TrainConfig):
     """Factorize layers one at a time, fine-tuning the whole network after each.
 
@@ -345,20 +339,13 @@ def iterative_compress(net: NetworkSpec, data: Dataset, ranks: dict, cfg: TrainC
     records = []
     for index, name in enumerate(_stage_names(net, ranks)):
         candidate = _factorize(current, name, ranks[name], cfg, index)
-        pre_loss, pre_acc = evaluate(candidate, data.test_x, data.test_y)
-        try:
-            candidate, history = finetune(candidate, data, cfg)
-        except DivergedError:
-            records.append(
-                StageRecord(name, ranks[name], pre_loss, pre_acc,
-                            float("nan"), float("nan"), cfg.epochs_per_stage)
-            )
+        pre = evaluate(candidate, data.test_x, data.test_y)
+        tuned, record = _stage(candidate, data, cfg, name, ranks[name], pre,
+                               cfg.epochs_per_stage)
+        records.append(record)
+        if tuned is None:
             return current, StageLog(tuple(records), diverged=True)
-        records.append(
-            StageRecord(name, ranks[name], pre_loss, pre_acc, history[-1].test_loss,
-                        history[-1].test_accuracy, cfg.epochs_per_stage)
-        )
-        current = candidate
+        current = tuned
     return current, StageLog(tuple(records))
 
 
@@ -368,6 +355,8 @@ def oneshot_compress(net: NetworkSpec, data: Dataset, ranks: dict, cfg: TrainCon
     The single fine-tune gets the same total budget iterative_compress
     would spend: epochs_per_stage times the number of stages.  A network
     with no decomposable layers comes back as it is, with an empty log.
+    If the fine-tune diverges, the factorized network comes back untuned
+    with ``diverged`` set.
     """
     names = _stage_names(net, ranks)
     if not names:
@@ -379,17 +368,9 @@ def oneshot_compress(net: NetworkSpec, data: Dataset, ranks: dict, cfg: TrainCon
         loss, acc = evaluate(current, data.test_x, data.test_y)
         records.append(StageRecord(name, ranks[name], loss, acc, loss, acc, 0))
 
-    budget = cfg.epochs_per_stage * len(names)
-    try:
-        current, history = finetune(current, data, cfg, epochs=budget)
-    except DivergedError:
-        records.append(
-            StageRecord("finetune", 0, records[-1].post_loss,
-                        records[-1].post_accuracy, float("nan"), float("nan"), budget)
-        )
+    tuned, record = _stage(current, data, cfg, "finetune", 0, (loss, acc),
+                           cfg.epochs_per_stage * len(names))
+    records.append(record)
+    if tuned is None:
         return current, StageLog(tuple(records), diverged=True)
-    records.append(
-        StageRecord("finetune", 0, records[-1].post_loss, records[-1].post_accuracy,
-                    history[-1].test_loss, history[-1].test_accuracy, budget)
-    )
-    return current, StageLog(tuple(records))
+    return tuned, StageLog(tuple(records))

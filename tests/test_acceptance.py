@@ -7,6 +7,7 @@ success; they also appear in captured output on failure).
 import time
 
 import numpy as np
+import pytest
 from cpcompress.allocator import largest_remainder
 from cpcompress.conv import MultiplyCounter, ConvSpec
 from cpcompress.cp import TpmConfig, decompose_kernel, reconstruct, residual_curve
@@ -214,6 +215,7 @@ def test_criterion_7_gradient_checks():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_iterative_vs_oneshot():
     start = time.time()
     ranks = {"conv1": 6, "conv2": 18, "fc1": 12, "fc2": 5}

@@ -103,6 +103,13 @@ class TestAllocateRanks:
         assert ranks["fc1"] >= 1
         assert sum(ranks.values()) == 9
 
+    def test_zero_fill_keeps_larger_loss_at_least_as_large(self):
+        # largest_remainder gives 5, 4, 0, 0, 0; taking all three missing
+        # units from the first layer once left it at 2 against the second's 4.
+        report = report_from({"fc": [0.5, 0.4, 0.0, 0.0, 0.0]})
+        ranks = allocate_ranks(report, {"fc": 9})
+        assert [ranks[f"fc{i}"] for i in range(1, 6)] == [3, 3, 1, 1, 1]
+
     def test_budget_below_layer_count_rejected(self):
         report = report_from({"fc": [1.0, 2.0, 3.0]})
         with pytest.raises(ValueError):
@@ -112,6 +119,20 @@ class TestAllocateRanks:
         report = report_from({"fc": [1.0], "conv": [1.0]})
         with pytest.raises(ValueError):
             allocate_ranks(report, {"fc": 10})
+
+    def test_table_rejects_repeated_layer(self):
+        report = report_from({"conv": [1.5, 2.5]})
+        text = report.to_table() + "conv\tconv1\t0.0\t0.5\n"
+        with pytest.raises(ValueError, match="listed twice"):
+            SensitivityReport.from_table(text)
+
+    @pytest.mark.parametrize("acc, loss", [
+        ("nan", "0.5"), ("0.5", "nan"), ("inf", "0.5"), ("0.5", "-inf"),
+    ])
+    def test_table_rejects_non_finite_values(self, acc, loss):
+        text = report_from({"fc": [1.0]}).to_table() + f"fc\tfc2\t{acc}\t{loss}\n"
+        with pytest.raises(ValueError, match="non-finite"):
+            SensitivityReport.from_table(text)
 
     def test_table_roundtrip(self):
         report = report_from({"conv": [1.5, 2.5], "fc": [3.25]})

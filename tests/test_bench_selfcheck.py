@@ -33,6 +33,7 @@ print(json.dumps({key: record[key] for key in ("attempted", "failed", "failures"
 """
 
 
+@pytest.mark.slow
 def test_benchmark_selfcheck_passes():
     result = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "selfcheck.py")],
@@ -42,6 +43,7 @@ def test_benchmark_selfcheck_passes():
     assert "selfcheck ok" in result.stdout
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("workload", ["toy-pipeline", "factorize"])
 def test_full_size_run_has_no_failed_operations(workload, tmp_path):
     result = subprocess.run(

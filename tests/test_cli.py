@@ -164,6 +164,18 @@ class TestDecompose:
         assert code == EXIT_ARGS
         assert "unknown layers: ['mystery']" in _one_line_error(capsys)
 
+    def test_layer_named_twice_in_ranks_file(self, toy_model_path, tmp_path, capsys):
+        # The last line used to win silently.
+        ranks = tmp_path / "ranks.tsv"
+        ranks.write_text("conv1\t2\nconv2\t4\nconv1\t3\n")
+        code = main([
+            "decompose", "--model-in", str(toy_model_path),
+            "--ranks-file", str(ranks), "--analytic-only",
+        ])
+        assert code == EXIT_ARGS
+        line = _one_line_error(capsys)
+        assert line.startswith("error: bad ranks file") and "'conv1'" in line
+
     def test_rank_budget_uniform_split(self, toy_model_path, tmp_path, capsys):
         # allocate_ranks at zero loss: an even split, earlier layers first.
         out_path = tmp_path / "split.cpnet"
@@ -295,6 +307,22 @@ class TestAllocate:
         code = main(["allocate", "--report", str(report), "--budget", "fc"])
         capsys.readouterr()
         assert code == EXIT_ARGS
+
+    @pytest.mark.parametrize("rows, words", [
+        # conv1 listed twice once gave "conv1 2", so conv=10 was not met.
+        ("conv\tconv1\t0.5\t0.25\nconv\tconv2\t0.6\t0.15\n"
+         "conv\tconv1\t0.7\t0.05\nfc\tfc1\t0.5\t0.25\n", "listed twice"),
+        # max(0.0, nan) is 0.0, so a NaN loss used to read as no loss.
+        ("conv\tconv1\t0.5\t0.25\nfc\tfc1\tnan\tnan\n", "non-finite"),
+        ("conv\tconv1\t0.5\tinf\nfc\tfc1\t0.5\t0.25\n", "non-finite"),
+    ], ids=["repeated-layer", "nan", "inf"])
+    def test_bad_report_rows_refused(self, tmp_path, capsys, rows, words):
+        report = tmp_path / "report.tsv"
+        report.write_text("group\tlayer\tprobe_accuracy\taccuracy_loss\n" + rows)
+        code = main(["allocate", "--report", str(report), "--budget", "conv=10,fc=6"])
+        assert code == EXIT_FILE
+        line = _one_line_error(capsys)
+        assert line.startswith("error: cannot parse report") and words in line
 
     def test_missing_report_exit(self, capsys):
         code = main(["allocate", "--report", "/nope.tsv", "--budget", "fc=10"])

@@ -261,6 +261,38 @@ class TestCpConvBackward:
         _assert_close(dx, batch_conv_backward(dy, kernel, spec, dense_cache)[0])
 
 
+class TestGroupedConv:
+    # The group axis of batch_conv's product must give group gi input
+    # channels [gi*S/g, (gi+1)*S/g) and output channels [gi*T/g, (gi+1)*T/g),
+    # with the same bits as that group run alone through a groups=1 spec.
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("groups", [2, 3])
+    def test_matches_per_group_runs_bit_for_bit(self, groups, stride, padding):
+        rng = np.random.default_rng(10 * groups + 3 * stride + padding)
+        s_g, t_g = 2, 3
+        spec = ConvSpec(t_g * groups, s_g * groups, 3, stride=stride, padding=padding,
+                        groups=groups)
+        one = ConvSpec(t_g, s_g, 3, stride=stride, padding=padding)
+        kernel = rng.standard_normal(spec.kernel_shape)
+        x = rng.standard_normal((3, s_g * groups, 7, 9))
+        cache = {}
+        y = batch_conv(x, kernel, spec, cache)
+        dy = rng.standard_normal(y.shape)
+        dx, dw = batch_conv_backward(dy, kernel, spec, cache)
+
+        parts = []
+        for gi in range(groups):
+            ins, outs = slice(gi * s_g, (gi + 1) * s_g), slice(gi * t_g, (gi + 1) * t_g)
+            part_cache = {}
+            y_g = batch_conv(x[:, ins], kernel[outs], one, part_cache)
+            parts.append((y_g, *batch_conv_backward(dy[:, outs], kernel[outs], one,
+                                                    part_cache)))
+        assert np.array_equal(y, np.concatenate([p[0] for p in parts], axis=1))
+        assert np.array_equal(dx, np.concatenate([p[1] for p in parts], axis=1))
+        assert np.array_equal(dw, np.concatenate([p[2] for p in parts], axis=0))
+
+
 class TestCpConvPerSample:
     # The depthwise stage's GEMMs run over the whole batch's rows; a sample's
     # output and input gradient must still come out the same bits at any
