@@ -121,7 +121,7 @@ def _typed_flags(values: dict) -> dict:
     for name, (default, _, _) in _SETTINGS.items():
         text = values.get(name)
         if not isinstance(text, str):
-            continue  # not given: the default, already checked
+            continue  # not given
         try:
             value = type(default)(text)
         except ValueError:
@@ -416,7 +416,7 @@ _COMMANDS = {
 }
 
 
-def build_parser(defaults: dict) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpcompress",
         description="Compress small CNNs by factorizing convolutions and "
@@ -445,34 +445,24 @@ def build_parser(defaults: dict) -> argparse.ArgumentParser:
     p.add_argument("--ranks-file")
     p.add_argument("--model-out")
 
-    for name, (default, _, names) in _SETTINGS.items():
+    for name, (_, _, names) in _SETTINGS.items():
         for command in names:
-            # No type=: main converts the text, so a malformed value gets
-            # the same one-line error as an out-of-range one.
-            commands[command].add_argument(_flag(name), default=defaults[name])
+            # No type= and no default: main converts the text, so a malformed
+            # value gets the same one-line error as an out-of-range one, and
+            # fills in the settings that were not given.
+            commands[command].add_argument(_flag(name), default=argparse.SUPPRESS)
     return parser
 
 
-def _config_path(argv):
-    """The --config value as the full parser would read it: ``--config PATH``,
-    ``--config=PATH`` or an unambiguous abbreviation, before the subcommand."""
-    pre = argparse.ArgumentParser(prog="cpcompress", add_help=False)
-    pre.add_argument("--config")
-    pre.add_argument("rest", nargs=argparse.REMAINDER)
-    return pre.parse_known_args(argv)[0].config
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    defaults = dict(DEFAULTS)
-    # A config file changes defaults only, so flags still win.
     try:
-        config = _config_path(argv)
+        args = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_ARGS if exc.code else EXIT_OK
-    if config is not None:
+    overlay = {}
+    if args.config is not None:
         try:
-            with open(config, "r", encoding="utf-8") as fh:
+            with open(args.config, "r", encoding="utf-8") as fh:
                 overlay = json.load(fh)
         except OSError as exc:
             return _fail(EXIT_FILE, f"cannot read config: {exc}")
@@ -480,27 +470,21 @@ def main(argv=None) -> int:
             return _fail(EXIT_ARGS, f"bad config: {exc}")
         if not isinstance(overlay, dict):
             return _fail(EXIT_ARGS, "bad config: expected a JSON object")
-        unknown = set(overlay) - set(defaults)
+        unknown = set(overlay) - set(DEFAULTS)
         if unknown:
             return _fail(EXIT_ARGS, f"unknown config keys {sorted(unknown)}")
-        # Checked here, whether or not the subcommand takes the setting, so
-        # argparse never converts or blames a config value.
-        problem = _bad_setting(overlay)
-        if problem:
-            return _fail(EXIT_ARGS, problem)
-        defaults.update(overlay)
-    parser = build_parser(defaults)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_ARGS if exc.code else EXIT_OK
-    settings = _typed_flags(vars(args))
-    problem = _bad_setting(settings)
+    flags = _typed_flags(vars(args))
+    # Every config value is checked, whether or not the subcommand takes the
+    # setting, and before the flags that override it.
+    problem = _bad_setting(overlay) or _bad_setting(flags)
     if problem:
         return _fail(EXIT_ARGS, problem)
-    args = argparse.Namespace(**settings)
+    args = argparse.Namespace(**{**DEFAULTS, **overlay, **flags})
     try:
-        return _COMMANDS[args.command](args)
+        # Every non-finite result ends in DivergedError or a diverged log, so
+        # numpy's overflow warnings would only repeat the one error line.
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except _Refused as exc:
         return _fail(exc.code, str(exc))
     except DivergedError as exc:

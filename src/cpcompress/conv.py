@@ -26,7 +26,9 @@ operands they multiply; the depthwise stage counts its D^2 taps per output
 value, not the zeros of its banded matrices.
 
 ``conv_forward``, ``conv_forward_decomposed``, ``fc_forward`` and
-``max_pool`` apply the same kernels to a single (unbatched) input.
+``max_pool`` run a single (unbatched) input through their layer kind in
+``network.py`` (``Conv``, ``DecomposedConv``, ``Fc``, ``MaxPool``) as a
+batch of one, so the layer's own checks refuse a bad input.
 """
 
 import operator
@@ -35,7 +37,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .cp import CpFactors
 from .tensor import DenseTensor
 
 __all__ = [
@@ -128,25 +129,6 @@ class ConvSpec:
     def weight_count(self) -> int:
         t, s_g, d, _ = self.kernel_shape
         return t * s_g * d * d
-
-    def group_factors(self, factors) -> tuple:
-        """`factors` (one CpFactors, or one per group) as a tuple, checked
-        against this geometry."""
-        if isinstance(factors, CpFactors):
-            factors = (factors,)
-        factors = tuple(factors)
-        if len(factors) != self.groups:
-            raise ValueError(f"expected {self.groups} factor groups, got {len(factors)}")
-        t_g = self.out_channels // self.groups
-        s_g = self.in_channels // self.groups
-        d = self.kernel_size
-        for f in factors:
-            if (f.out_channels, f.in_channels, f.kernel_size) != (t_g, s_g, d):
-                raise ValueError(
-                    f"factor shape ({f.out_channels}, {f.in_channels}, "
-                    f"{f.kernel_size}) does not match the group shape ({t_g}, {s_g}, {d})"
-                )
-        return factors
 
 
 def _count(counter, n: int):
@@ -447,17 +429,17 @@ def batch_max_pool_backward(dy, window: int, stride: int, cache) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single inputs: batches of one
+# single inputs: each function is its layer kind at batch one
 # ---------------------------------------------------------------------------
+# network.py imports this module, so each function imports its kind when it
+# is called.
 
 
-def _sample(x: DenseTensor, channels: int) -> np.ndarray:
-    xa = x.array
-    if xa.ndim != 3:
-        raise ValueError(f"input must be 3-way, got {xa.ndim}-way")
-    if xa.shape[0] != channels:
-        raise ValueError(f"input has {xa.shape[0]} channels, spec wants {channels}")
-    return xa[None]
+def _run_one(layer, x: np.ndarray, counter) -> np.ndarray:
+    """One input through `layer` as a batch of one, after the layer's own
+    input shape check."""
+    layer.out_shape(x.shape)
+    return layer.forward(layer.params(), x[None], None, counter)[0]
 
 
 def conv_forward(
@@ -467,11 +449,9 @@ def conv_forward(
     counter: MultiplyCounter | None = None,
 ) -> DenseTensor:
     """Direct convolution of a (S, W, H) input with a (T, S/g, D, D) kernel."""
-    ka = kernel.array
-    if ka.shape != spec.kernel_shape:
-        raise ValueError(f"kernel shape {ka.shape} does not match {spec.kernel_shape}")
-    out = batch_conv(_sample(x, spec.in_channels), ka, spec, None, counter)
-    return DenseTensor.from_array(out[0])
+    from .network import Conv
+    layer = Conv("conv_forward", spec, kernel.array)
+    return DenseTensor.from_array(_run_one(layer, x.array, counter))
 
 
 def conv_forward_decomposed(
@@ -486,9 +466,9 @@ def conv_forward_decomposed(
     `factors` is a CpFactors, or a sequence of them (one per group) when
     spec.groups > 1.
     """
-    xa = _sample(x, spec.in_channels)
-    arrays = [(f.u1, f.u2, f.u3) for f in spec.group_factors(factors)]
-    return DenseTensor.from_array(batch_cp_conv(xa, arrays, spec, None, counter)[0])
+    from .network import DecomposedConv
+    layer = DecomposedConv("conv_forward_decomposed", spec, factors)
+    return DenseTensor.from_array(_run_one(layer, x.array, counter))
 
 
 def fc_forward(
@@ -501,27 +481,13 @@ def fc_forward(
 
     Orientation convention: weights[m, n] connects input n to output m.
     """
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if x.ndim != 1 or w.ndim != 2 or w.shape[1] != x.size:
-        raise ValueError(f"weights {w.shape} do not apply to input of length {x.size}")
-    y = batch_fc(x[None], w, counter)[0]
-    if bias is not None:
-        b = np.asarray(bias, dtype=np.float64)
-        if b.shape != (w.shape[0],):
-            raise ValueError(f"bias length {b.size} does not match {w.shape[0]} outputs")
-        y = y + b
-    return y
+    from .network import Fc
+    layer = Fc("fc_forward", weights, bias)
+    return _run_one(layer, np.asarray(x, dtype=np.float64), counter)
 
 
 def max_pool(x: DenseTensor, window: int, stride: int) -> DenseTensor:
     """Spatial max pooling over (C, W, H); windows stay fully inside the input."""
-    if window < 1 or stride < 1:
-        raise ValueError("window and stride must be >= 1")
-    xa = x.array
-    if xa.ndim != 3:
-        raise ValueError(f"input must be 3-way, got {xa.ndim}-way")
-    _, w, h = xa.shape
-    if window > w or window > h:
-        raise ValueError(f"window {window} exceeds spatial extent ({w}, {h})")
-    return DenseTensor.from_array(batch_max_pool(xa[None], window, stride)[0])
+    from .network import MaxPool
+    layer = MaxPool("max_pool", window, stride)
+    return DenseTensor.from_array(_run_one(layer, x.array, None))

@@ -269,12 +269,23 @@ class DecomposedConv(_ConvKind):
     stages = 3
 
     def __post_init__(self):
-        try:
-            factors = self.spec.group_factors(self.factors)
-        except ValueError as exc:
-            raise ValueError(f"{self.name}: {exc}") from exc
+        # One CpFactors, or one per group, each of the group's shape.
+        spec = self.spec
+        factors = (self.factors,) if isinstance(self.factors, CpFactors) else tuple(self.factors)
+        if len(factors) != spec.groups:
+            raise ValueError(
+                f"{self.name}: expected {spec.groups} factor groups, got {len(factors)}"
+            )
+        group = (spec.out_channels // spec.groups, spec.in_channels // spec.groups,
+                 spec.kernel_size)
+        for f in factors:
+            if (f.out_channels, f.in_channels, f.kernel_size) != group:
+                raise ValueError(
+                    f"{self.name}: factor shape ({f.out_channels}, {f.in_channels}, "
+                    f"{f.kernel_size}) does not match the group shape {group}"
+                )
         object.__setattr__(self, "factors", factors)
-        self._freeze_bias(self.spec.out_channels)
+        self._freeze_bias(spec.out_channels)
 
     @property
     def ranks(self) -> tuple:

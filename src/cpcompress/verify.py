@@ -65,13 +65,7 @@ def random_case(rng: np.random.Generator):
     rank = int(rng.integers(1, 9))
     # Pick a spatial extent that yields an integral output.
     base = int(rng.integers(max(d, 4), 13))
-    span = base + 2 * padding - d
-    if span < 0:
-        base += -span
-        span = base + 2 * padding - d
-    base -= span % stride
-    if base < d - 2 * padding:
-        base += stride
+    base -= (base + 2 * padding - d) % stride
     spec = ConvSpec(t, s, d, stride=stride, padding=padding)
     x = rng.standard_normal((1, s, base, base))
     factors = CpFactors(

@@ -13,7 +13,7 @@ import cpcompress
 import cpcompress.cli
 
 from cpcompress import verify
-from cpcompress.cli import EXIT_ARGS, EXIT_FILE, EXIT_OK, EXIT_VERIFY, main
+from cpcompress.cli import EXIT_ARGS, EXIT_DIVERGED, EXIT_FILE, EXIT_OK, EXIT_VERIFY, main
 from cpcompress.network import NetworkSpec, load
 from cpcompress.presets import toy_cnn
 from cpcompress.network import save
@@ -491,7 +491,7 @@ class TestNumericSettings:
         assert main(["--config", str(cfg), "verify"]) == EXIT_ARGS
         assert "bad config" in _one_line_error(capsys)
 
-    def test_settings_table(self):
+    def test_settings_table(self, monkeypatch):
         # The built-in defaults, and the subcommands each setting is a flag on.
         assert cpcompress.cli.DEFAULTS == {
             "seed": 0, "probe_rank": 5, "probe_epochs": 1, "baseline_epochs": 16,
@@ -510,13 +510,29 @@ class TestNumericSettings:
             "train": training | {"epochs_per_stage", "rank_fraction"},
             "verify": {"seed", "verify_cases", "verify_trips"},
         }
-        parser = cpcompress.cli.build_parser(cpcompress.cli.DEFAULTS)
+        parser = cpcompress.cli.build_parser()
         required = {"allocate": ["--report", "r.tsv", "--budget", "fc=1"]}
+        seen = {}
+
+        def capture(args):
+            seen[args.command] = args
+            return EXIT_OK
+
+        monkeypatch.setattr(cpcompress.cli, "_COMMANDS", dict.fromkeys(expected, capture))
         for command, names in expected.items():
-            args = parser.parse_args([command] + required.get(command, []))
-            assert {n for n in vars(args) if n in table} == names
+            head = [command] + required.get(command, [])
             assert {n for n, entry in table.items() if command in entry[2]} == names
-            assert all(getattr(args, n) == table[n][0] for n in names)
+            # Each numeric flag the subcommand takes parses, and no other does.
+            for name in table:
+                argv = head + ["--" + name.replace("_", "-"), "7"]
+                if name in names:
+                    assert getattr(parser.parse_args(argv), name) == "7"
+                else:
+                    with pytest.raises(SystemExit):
+                        parser.parse_args(argv)
+            # A flag left out reaches the command as its built-in default.
+            assert main(head) == EXIT_OK
+            assert all(getattr(seen[command], n) == cpcompress.cli.DEFAULTS[n] for n in names)
 
     def test_probe_rank_above_layer_bound(self, capsys):
         code = main([
@@ -581,6 +597,20 @@ class TestModuleEntryPoints:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith(f"error: cannot parse {model}")
 
+    @pytest.mark.parametrize("flags", [
+        ["--finetune-lr", "1e6"],  # a fine-tuning stage diverges: the log, then exit 3
+        ["--baseline-lr", "1e300"],  # the baseline diverges: DivergedError
+    ])
+    def test_divergence_prints_one_error_line(self, tmp_path, flags):
+        # Run apart from pytest, which would otherwise capture numpy's warnings.
+        done = self._run(
+            "cpcompress", "train", *flags, "--baseline-epochs", "1",
+            "--epochs-per-stage", "1", cwd=tmp_path,
+        )
+        assert done.returncode == EXIT_DIVERGED
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: ")
+
     @pytest.mark.parametrize("module", ["cpcompress", "cpcompress.cli"])
     def test_python_dash_m_exit_code(self, tmp_path, module):
         done = self._run(module, "verify", "--verify-cases", "-1", cwd=tmp_path)
@@ -636,6 +666,19 @@ class TestConfigOverlay:
         code = main(argv + ["verify", "--verify-cases", "1", "--verify-trips", "1"])
         assert code == EXIT_FILE
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_argv_error_before_config_error(self, capsys):
+        # argv is parsed once, before the config file is read.
+        assert main(["--config", "/nope/missing.json", "bogus"]) == EXIT_ARGS
+        assert "cannot read config" not in capsys.readouterr().err
+
+    def test_bad_config_value_refused_under_a_flag(self, tmp_path, capsys):
+        # Every config value is checked, even one a flag overrides.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"verify_cases": -1}))
+        argv = ["--config", str(cfg), "verify", "--verify-cases", "1", "--verify-trips", "1"]
+        assert main(argv) == EXIT_ARGS
+        assert "--verify-cases must be an integer >= 0, got -1" in _one_line_error(capsys)
 
     @pytest.mark.parametrize("form", ["equals", "abbreviated"])
     def test_config_forms_change_defaults(self, tmp_path, capsys, form):
