@@ -1,8 +1,12 @@
 """Greedy kernel decomposition: rank-1 fits, deflation, reconstruction."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
+from cpcompress.conv import ConvSpec
 from cpcompress.cp import (
     CpFactors,
     TpmConfig,
@@ -11,6 +15,7 @@ from cpcompress.cp import (
     reconstruct,
     residual_curve,
 )
+from cpcompress.network import Conv
 from cpcompress.tensor import DenseTensor
 
 from helpers import separated_cp_kernel
@@ -22,6 +27,15 @@ def rel_err(approx, exact):
     return np.linalg.norm(approx - exact) / np.linalg.norm(exact)
 
 
+def he_kernel(shape, seed):
+    t, s, d, _ = shape
+    return np.random.default_rng(seed).standard_normal(shape) * math.sqrt(2.0 / (s * d * d))
+
+
+def factor_bytes(factors):
+    return factors.u1.tobytes() + factors.u2.tobytes() + factors.u3.tobytes()
+
+
 class TestTpmConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -30,6 +44,88 @@ class TestTpmConfig:
             TpmConfig(rank=1, tol=0.0)
         with pytest.raises(ValueError):
             TpmConfig(rank=1, max_inner_iters=0)
+
+    def test_default_cap_is_100(self):
+        assert TpmConfig(rank=1).max_inner_iters == 100
+
+    @pytest.mark.parametrize("name", ["rank", "max_inner_iters", "seed"])
+    def test_integer_settings_refuse_floats(self, name):
+        with pytest.raises(TypeError):
+            TpmConfig(**{"rank": 2, name: 2.0})
+
+    @pytest.mark.parametrize("name", ["rank", "max_inner_iters", "seed"])
+    def test_integer_settings_refuse_booleans(self, name):
+        with pytest.raises(TypeError):
+            TpmConfig(**{"rank": 2, name: True})
+
+    def test_integer_settings_become_ints(self):
+        cfg = TpmConfig(rank=np.int64(3), max_inner_iters=np.int32(7), seed=np.uint8(2))
+        assert [type(v) for v in (cfg.rank, cfg.max_inner_iters, cfg.seed)] == [int] * 3
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError):
+            TpmConfig(rank=1, seed=-1)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf])
+    def test_non_finite_tol_refused(self, tol):
+        with pytest.raises(ValueError):
+            TpmConfig(rank=1, tol=tol)
+
+
+class TestSweepCap:
+    """The default cap of 100 sweeps per term, against the earlier 200."""
+
+    def test_converged_terms_unchanged_by_the_cap(self):
+        # Every term of this planted kernel meets tol well within 100 sweeps.
+        kernel = DenseTensor.from_array(
+            separated_cp_kernel(6, 5, 3, rank=4, rng=np.random.default_rng(8))
+        )
+        at_100 = decompose_kernel(kernel, TpmConfig(rank=4, seed=2, max_inner_iters=100))
+        at_200 = decompose_kernel(kernel, TpmConfig(rank=4, seed=2, max_inner_iters=200))
+        assert factor_bytes(at_100) == factor_bytes(at_200)
+
+    def test_capped_residual_close_to_cap_200(self):
+        # Most of these terms run past 100 sweeps; stopping them there costs
+        # little of the final residual.
+        kernel = DenseTensor.from_array(he_kernel((64, 64, 3, 3), 0))
+        capped = residual_curve(kernel, 16, TpmConfig(rank=16, seed=0))
+        longer = residual_curve(kernel, 16, TpmConfig(rank=16, seed=0, max_inner_iters=200))
+        assert capped[-1] <= 1.005 * longer[-1]
+
+    def test_conv_decompose_uses_the_default_cap(self):
+        weights = he_kernel((12, 6, 3, 3), 4)
+        layer = Conv("conv", ConvSpec(12, 6, 3, padding=1), weights, np.zeros(12))
+        (factors,) = layer.decompose(5, seed=3)
+        explicit = decompose_kernel(
+            DenseTensor.from_array(weights), TpmConfig(rank=5, seed=3, max_inner_iters=100)
+        )
+        assert factor_bytes(factors) == factor_bytes(explicit)
+
+    @pytest.mark.parametrize(
+        "shape, seed, rank, digest",
+        [
+            ((16, 8, 3, 3), 0, 6,
+             "ef09fa2741e2c9cfc6f60e83d72f02467270c53a044ba53c2280803d7a1f72c3"),
+            ((8, 4, 5, 5), 1, 5,
+             "a5495daeb96df9a0f1f0a9218cfeeeb8fbeaf91aa38ad86b19d66ea800853cc2"),
+            (None, None, 3,
+             "864a8347bda4bc82ea79ad57834a257bd053c864fb962aa42c78ec21dd2f89bd"),
+        ],
+        ids=["he-3x3", "he-5x5", "zero-residual"],
+    )
+    def test_cap_200_factors_are_pinned(self, shape, seed, rank, digest):
+        # Factors at the earlier default cap, recorded before the deflation
+        # moved into preallocated buffers (numpy 2.4, x86-64).  The last
+        # kernel has one nonzero, so its residual is exactly zero after the
+        # first term and the other two take the zero-target path.
+        if shape is None:
+            kernel = np.zeros((4, 3, 3, 3))
+            kernel[2, 1, 0, 2] = 2.0
+        else:
+            kernel = he_kernel(shape, seed)
+        cfg = TpmConfig(rank=rank, seed=0, max_inner_iters=200)
+        factors = decompose_kernel(DenseTensor.from_array(kernel), cfg)
+        assert hashlib.sha256(factor_bytes(factors)).hexdigest() == digest
 
 
 class TestFitRank1:

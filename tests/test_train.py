@@ -357,13 +357,13 @@ _PINNED_SCHEDULES = {
     "iterative_compress": (
         "layer=conv1\trank=4\tpre_loss=5.779312618609463\tpre_accuracy=0.1"
         "\tpost_loss=2.410851119842448\tpost_accuracy=0.16666666666666666\tepochs=1\n"
-        "layer=conv2\trank=8\tpre_loss=2.475253173123303\tpre_accuracy=0.08333333333333333"
-        "\tpost_loss=2.384018298119612\tpost_accuracy=0.15\tepochs=1\n"
-        "layer=fc1\trank=8\tpre_loss=2.4199754424745437\tpre_accuracy=0.1"
-        "\tpost_loss=2.3703086330421868\tpost_accuracy=0.08333333333333333\tepochs=1\n"
-        "layer=fc2\trank=4\tpre_loss=2.318928055036077\tpre_accuracy=0.1"
-        "\tpost_loss=2.3156296655860573\tpost_accuracy=0.11666666666666667\tepochs=1\n",
-        "09a6c974a32cd923f807bb0d9b378da05e04aa03551d1049122f69b259ccb814",
+        "layer=conv2\trank=8\tpre_loss=2.475637725429455\tpre_accuracy=0.08333333333333333"
+        "\tpost_loss=2.3856351935225537\tpost_accuracy=0.13333333333333333\tepochs=1\n"
+        "layer=fc1\trank=8\tpre_loss=2.42185392691876\tpre_accuracy=0.1"
+        "\tpost_loss=2.3719278094699563\tpost_accuracy=0.05\tepochs=1\n"
+        "layer=fc2\trank=4\tpre_loss=2.317841226159841\tpre_accuracy=0.1"
+        "\tpost_loss=2.3117022523020907\tpost_accuracy=0.08333333333333333\tepochs=1\n",
+        "9fa160f9b065928b853bc73bc5c09d9643f70d55ce2a278024fbfbbfff4a9ce2",
     ),
     "oneshot_compress": (
         "layer=conv1\trank=4\tpre_loss=5.779312618609463\tpre_accuracy=0.1"
