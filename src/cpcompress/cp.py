@@ -27,6 +27,13 @@ __all__ = [
 
 _INIT_POWER_ITERS = 5
 
+# Rows of the (S, D*D, T) work tensor per slab of a sweep's reverse pass.
+# At 64 rows a slab of a (192, 9, 192) tensor is 0.9 MB, well inside a
+# 2 MiB L2.  On that tensor at R=64, slabs of 16 to 128 rows fitted within
+# a few percent of each other, and one slab of all 192 rows (no reversal)
+# about 15% slower.
+_SLAB_ROWS = 64
+
 
 @dataclass(frozen=True)
 class TpmConfig:
@@ -127,8 +134,14 @@ class CpFactors:
         return self.u1.size + self.u2.size + self.u3.size
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float array: ``np.linalg.norm``'s own
+    computation for one, without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
+    n = _norm(v)
     if n == 0.0:
         e = np.zeros_like(v)
         e[0] = 1.0
@@ -145,7 +158,7 @@ def _init_mode_vector(unfolding: np.ndarray, rng: np.random.Generator) -> np.nda
     w = _unit(rng.standard_normal(unfolding.shape[0]))
     for _ in range(_INIT_POWER_ITERS):
         w = unfolding @ (unfolding.T @ w)
-        n = np.linalg.norm(w)
+        n = _norm(w)
         if n == 0.0:
             return _unit(np.zeros(unfolding.shape[0]))
         w = w / n
@@ -170,6 +183,13 @@ def _fit_rank1_array(
     `unfolding`, if given, is an (n1, n0*n2) buffer that receives the
     mode-2 unfolding instead of a fresh array; only the start vector reads
     it, so the caller may reuse it once the fit returns.
+
+    Each sweep reads the target twice, in snake order: ``target @ c`` runs
+    over slabs of `_SLAB_ROWS` rows, last slab first, and ``a @ target``
+    then runs forward over all rows, so each pass starts on the rows the
+    one before it left in cache.  Each slab stays 3-D, so numpy makes the
+    same (n1, n2) GEMV per row ``target[i]`` that one ``target @ c`` makes,
+    and the factors are the same bit for bit whatever the slab size.
     """
     n0, n1, n2 = target.shape
     if not np.any(target):
@@ -184,13 +204,21 @@ def _fit_rank1_array(
     b = _init_mode_vector(unfolding, rng)
     c = _init_mode_vector(np.moveaxis(target, 2, 0).reshape(n2, -1), rng)
 
+    flat = target.reshape(n0, -1)
+    tc = np.empty((n0, n1))
+    mode2 = np.empty(n1 * n2)
+    mode2_t = mode2.reshape(n1, n2).T
+    vc = np.empty(n2)
+    slabs = [slice(lo, lo + _SLAB_ROWS) for lo in reversed(range(0, n0, _SLAB_ROWS))]
     scale = 0.0
     for _ in range(max_iters):
-        tc = target @ c            # (n0, n1)
+        for rows in slabs:
+            np.matmul(target[rows], c, out=tc[rows])
         a = _unit(tc @ b)
         b = _unit(a @ tc)
-        vc = (a @ target.reshape(n0, -1)).reshape(n1, n2).T @ b
-        new_scale = float(np.linalg.norm(vc))
+        np.matmul(a, flat, out=mode2)
+        np.matmul(mode2_t, b, out=vc)
+        new_scale = _norm(vc)
         if new_scale == 0.0:
             scale = 0.0
             break

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cpcompress import cp
 from cpcompress.conv import ConvSpec
 from cpcompress.cp import (
     CpFactors,
@@ -126,6 +127,45 @@ class TestSweepCap:
         cfg = TpmConfig(rank=rank, seed=0, max_inner_iters=200)
         factors = decompose_kernel(DenseTensor.from_array(kernel), cfg)
         assert hashlib.sha256(factor_bytes(factors)).hexdigest() == digest
+
+
+class TestSnakeSweeps:
+    """The reverse pass of each sweep runs over slabs of `_SLAB_ROWS` rows.
+
+    The kernels pinned above have at most 8 input channels, one slab; the
+    kernel here has S=150, which no tested slab size divides.
+    """
+
+    SHAPE = (64, 150, 3, 3)
+
+    def test_factors_do_not_depend_on_the_slab_size(self, monkeypatch):
+        kernel = DenseTensor.from_array(he_kernel(self.SHAPE, 0))
+        cfg = TpmConfig(rank=3, seed=0)
+        default = factor_bytes(decompose_kernel(kernel, cfg))
+        for rows in (1, 7, 150, 256):
+            monkeypatch.setattr(cp, "_SLAB_ROWS", rows)
+            assert factor_bytes(decompose_kernel(kernel, cfg)) == default, rows
+
+    def test_multi_slab_factors_are_pinned(self):
+        # Recorded before the sweeps ran in slabs, when each sweep made one
+        # `target @ c` over the whole tensor (numpy 2.4, x86-64).
+        assert cp._SLAB_ROWS < self.SHAPE[1]
+        kernel = DenseTensor.from_array(he_kernel(self.SHAPE, 0))
+        factors = decompose_kernel(kernel, TpmConfig(rank=4, seed=0))
+        assert hashlib.sha256(factor_bytes(factors)).hexdigest() == (
+            "e9fa8c3d0fdf4ab672b7b12b29f4cc69a6f596f34b1abe9f849d77f12e2b1e19"
+        )
+
+    def test_scale_non_decreasing_across_slabs(self):
+        t, s, d, _ = self.SHAPE
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            target = rng.standard_normal((s, d * d, t))
+            history = []
+            _fit_rank1_array(target, rng, 200, 1e-10, history=history)
+            assert len(history) > 1
+            for earlier, later in zip(history, history[1:]):
+                assert later >= earlier * (1.0 - 1e-12)
 
 
 class TestFitRank1:
