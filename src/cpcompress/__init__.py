@@ -17,13 +17,7 @@ from .allocator import (
     probe_sensitivity,
 )
 from .conv import ConvSpec, MultiplyCounter
-from .cp import (
-    CpFactors,
-    TpmConfig,
-    decompose_kernel,
-    reconstruct,
-    residual_curve,
-)
+from .cp import CpFactors, TpmConfig, decompose_kernel, reconstruct
 from .data import Dataset, make_synthetic_dataset
 from .network import (
     CompressionReport,

@@ -3,10 +3,11 @@
 A kernel of shape (out_channels, in_channels, D, D) is reshaped to a 3-way
 tensor (in_channels, D*D, out_channels) -- the two spatial axes are fused,
 they are small and not worth splitting -- and approximated as a sum of R
-rank-1 terms.  Each term is found by a coordinate-descent power iteration
-on the current residual, subtracted, and the next term fits what is left.
-Earlier terms are never revisited, which keeps the procedure streaming and
-makes the residual norm non-increasing in R.
+rank-1 terms in one greedy loop, `decompose_kernel`.  Each term is found
+by a coordinate-descent power iteration on the current residual and
+subtracted, and the next term fits what is left.  Earlier terms are never
+revisited, so the first r terms of a rank-R decomposition are the rank-r
+decomposition, and the residual norm is non-increasing in R.
 """
 
 import math
@@ -22,7 +23,6 @@ __all__ = [
     "CpFactors",
     "decompose_kernel",
     "reconstruct",
-    "residual_curve",
 ]
 
 _INIT_POWER_ITERS = 5
@@ -232,10 +232,23 @@ def _fit_rank1_array(
     return a, b, c, scale
 
 
-def _start(kernel: DenseTensor, terms: int, what: str) -> tuple:
-    """(checked (T, S, D, D) kernel array, its (S, D*D, T) work copy) for a
-    greedy run of `terms` terms; `what` names that count in the error when
-    it exceeds the trivial bound."""
+def decompose_kernel(kernel: DenseTensor, cfg: TpmConfig) -> CpFactors:
+    """Greedy rank-R decomposition of a (T, S, D, D) convolution kernel.
+
+    The kernel is viewed as an (S, D*D, T) work copy, and R rank-1 terms
+    are peeled off it one at a time: each term is fitted to the current
+    residual, then subtracted from the work copy in place.  The a-vectors
+    become rows of u1, the b-vectors the (reshaped) spatial slices of u2,
+    and scale * c the columns of u3.
+
+    Terms never revisit earlier ones and the random start vectors are drawn
+    term by term, so the first r terms of a rank-R run are the rank-r run
+    bit for bit.  One scratch array of the work copy's size serves every
+    term, first as the fit's mode-2 unfolding and then as the rank-1 term.
+    The deflation ``work -= scale * (a x b x c)`` runs its multiplies and
+    subtraction in that order through it, so it rounds as the temporaries
+    would.  A zero residual gives zero u3 columns.
+    """
     arr = kernel.array
     if arr.ndim != 4:
         raise ValueError(f"kernel must be 4-way, got {arr.ndim}-way")
@@ -244,24 +257,17 @@ def _start(kernel: DenseTensor, terms: int, what: str) -> tuple:
     if not np.all(np.isfinite(arr)):
         raise ValueError("kernel contains non-finite values")
     t, s, d, _ = arr.shape
-    if terms > s * d * d * t:
-        raise ValueError(f"{what} {terms} exceeds the trivial bound {s * d * d * t}")
-    return arr, arr.transpose(1, 2, 3, 0).reshape(s, d * d, t).copy()
+    if cfg.rank > s * d * d * t:
+        raise ValueError(f"rank {cfg.rank} exceeds the trivial bound {s * d * d * t}")
+    work = arr.transpose(1, 2, 3, 0).reshape(s, d * d, t).copy()
 
-
-def _greedy_terms(work: np.ndarray, count: int, cfg: TpmConfig):
-    """Yield rank-1 terms of `work`, deflating it in place after each.
-
-    One scratch array of `work`'s size serves every term, first as the
-    fit's mode-2 unfolding and then as the rank-1 term.  The deflation
-    `work -= scale * (a x b x c)` runs its multiplies and subtraction in
-    that order through it, so it rounds as the temporaries would.
-    """
     rng = np.random.default_rng(cfg.seed)
-    n0, n1, n2 = work.shape
     term = np.empty_like(work)
-    unfolding = term.reshape(n1, n0 * n2)
-    for _ in range(count):
+    unfolding = term.reshape(d * d, s * t)
+    u1 = np.empty((cfg.rank, s))
+    u2 = np.empty((cfg.rank, d, d))
+    u3 = np.empty((t, cfg.rank))
+    for r in range(cfg.rank):
         a, b, c, scale = _fit_rank1_array(
             work, rng, cfg.max_inner_iters, cfg.tol, unfolding=unfolding
         )
@@ -269,22 +275,6 @@ def _greedy_terms(work: np.ndarray, count: int, cfg: TpmConfig):
             np.multiply(a[:, None, None] * b[None, :, None], c, out=term)
             np.multiply(scale, term, out=term)
             np.subtract(work, term, out=work)
-        yield a, b, c, scale
-
-
-def decompose_kernel(kernel: DenseTensor, cfg: TpmConfig) -> CpFactors:
-    """Greedy rank-R decomposition of a (T, S, D, D) convolution kernel.
-
-    The kernel is viewed as (S, D*D, T); R rank-1 terms are peeled off the
-    residual one at a time.  The a-vectors become rows of u1, the b-vectors
-    the (reshaped) spatial slices of u2, and scale * c the columns of u3.
-    """
-    arr, work = _start(kernel, cfg.rank, "rank")
-    t, s, d, _ = arr.shape
-    u1 = np.empty((cfg.rank, s))
-    u2 = np.empty((cfg.rank, d, d))
-    u3 = np.empty((t, cfg.rank))
-    for r, (a, b, c, scale) in enumerate(_greedy_terms(work, cfg.rank, cfg)):
         u1[r] = a
         u2[r] = b.reshape(d, d)
         u3[:, r] = scale * c
@@ -295,21 +285,3 @@ def reconstruct(factors: CpFactors) -> DenseTensor:
     """Expand factors back to a dense (T, S, D, D) kernel."""
     kernel = np.einsum("rs,rji,tr->tsji", factors.u1, factors.u2, factors.u3)
     return DenseTensor.from_array(kernel)
-
-
-def residual_curve(kernel: DenseTensor, max_rank: int, cfg: TpmConfig) -> list:
-    """Relative residual norm after 1..max_rank greedy terms.
-
-    Entry r-1 is ||kernel - first r terms|| / ||kernel||.  A zero kernel
-    yields an all-zero curve by convention.
-    """
-    if max_rank < 1:
-        raise ValueError("max_rank must be >= 1")
-    arr, work = _start(kernel, max_rank, "max_rank")
-    total = float(np.linalg.norm(arr))
-    if total == 0.0:
-        return [0.0] * max_rank
-    curve = []
-    for _ in _greedy_terms(work, max_rank, cfg):
-        curve.append(float(np.linalg.norm(work)) / total)
-    return curve

@@ -271,7 +271,9 @@ class DecomposedConv(_ConvKind):
     def __post_init__(self):
         # One CpFactors, or one per group, each of the group's shape.
         spec = self.spec
-        factors = (self.factors,) if isinstance(self.factors, CpFactors) else tuple(self.factors)
+        factors = tuple(self.factors) if isinstance(self.factors, (tuple, list)) else (self.factors,)
+        if not all(isinstance(f, CpFactors) for f in factors):
+            raise ValueError(f"{self.name}: decomposed conv needs CpFactors")
         if len(factors) != spec.groups:
             raise ValueError(
                 f"{self.name}: expected {spec.groups} factor groups, got {len(factors)}"
@@ -411,11 +413,10 @@ class Fc(_FcKind):
         return truncated_svd(self.weights, rank)
 
     def factorized(self, factors):
-        if not isinstance(factors, SvdFactors):
-            raise ValueError(f"{self.name}: fc replacement needs SvdFactors")
-        if (factors.out_features, factors.in_features) != (self.out_features, self.in_features):
+        layer = DecomposedFc(self.name, factors, self.bias)
+        if (layer.out_features, layer.in_features) != (self.out_features, self.in_features):
             raise ValueError(f"{self.name}: factor shape mismatch")
-        return DecomposedFc(self.name, factors, self.bias)
+        return layer
 
     def _linear(self, params, x, cache, counter):
         if cache is not None:
@@ -441,6 +442,8 @@ class DecomposedFc(_FcKind):
     stages = 2
 
     def __post_init__(self):
+        if not isinstance(self.factors, SvdFactors):
+            raise ValueError(f"{self.name}: fc replacement needs SvdFactors")
         self._freeze_bias(self.factors.out_features)
 
     @property

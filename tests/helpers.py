@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 
-from cpcompress.cp import CpFactors
+from cpcompress.cp import CpFactors, reconstruct
 from cpcompress.network import (
     Conv,
     DecomposedConv,
@@ -37,6 +37,24 @@ def separated_cp_kernel(t, s, d, rank, rng, scales=None):
         for r in range(rank)
     )
     return three.reshape(s, d, d, t).transpose(3, 0, 1, 2).copy()
+
+
+def first_terms(factors: CpFactors, r: int) -> CpFactors:
+    """The first r rank-1 terms of a decomposition."""
+    return CpFactors(factors.u1[:r], factors.u2[:r], factors.u3[:, :r])
+
+
+def prefix_residuals(kernel: np.ndarray, factors: CpFactors) -> list:
+    """||kernel - first r terms|| / ||kernel|| for r = 1..R.
+
+    The first r terms of a greedy decomposition are its rank-r
+    decomposition, so this is the residual curve of ranks 1..R.
+    """
+    total = np.linalg.norm(kernel)
+    return [
+        float(np.linalg.norm(kernel - reconstruct(first_terms(factors, r)).array)) / total
+        for r in range(1, factors.rank + 1)
+    ]
 
 
 def naive_conv(x: np.ndarray, kernel: np.ndarray, stride: int, pad: int) -> np.ndarray:

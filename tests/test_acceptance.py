@@ -4,13 +4,17 @@ Each test prints one pass/fail line (run with ``pytest -s`` to see them on
 success; they also appear in captured output on failure).
 """
 
+import multiprocessing
+import os
 import time
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from cpcompress.allocator import largest_remainder
 from cpcompress.conv import MultiplyCounter, ConvSpec
-from cpcompress.cp import TpmConfig, decompose_kernel, reconstruct, residual_curve
+from cpcompress.cp import TpmConfig, decompose_kernel, reconstruct
 from cpcompress.data import make_synthetic_dataset
 from cpcompress.network import (
     Conv,
@@ -34,6 +38,7 @@ from helpers import (
     check_gradients,
     gradient_check_net,
     gram_singular_values,
+    prefix_residuals,
     separated_cp_kernel,
 )
 
@@ -69,8 +74,9 @@ def test_criterion_2_greedy_rank1_extraction():
 
     monotone = True
     for _ in range(100):
-        kernel = DenseTensor.from_array(rng.standard_normal((3, 3, 3, 3)))
-        curve = residual_curve(kernel, 6, TpmConfig(rank=6, seed=1))
+        kernel = rng.standard_normal((3, 3, 3, 3))
+        factors = decompose_kernel(DenseTensor.from_array(kernel), TpmConfig(rank=6, seed=1))
+        curve = prefix_residuals(kernel, factors)
         monotone &= all(later <= earlier for earlier, later in zip(curve, curve[1:]))
     elapsed = time.time() - start
     ok = exact_ok and monotone and elapsed < 60.0
@@ -215,31 +221,44 @@ def test_criterion_7_gradient_checks():
     )
 
 
+def _criterion_8_seed(seed: int) -> tuple:
+    """(baseline, iterative, one-shot) test accuracy of one seed.
+
+    It runs in a worker process, where the suite's warning filter does not
+    reach, so RuntimeWarnings are made errors here as the suite makes them.
+    """
+    warnings.simplefilter("error", RuntimeWarning)
+    ranks = {"conv1": 6, "conv2": 18, "fc1": 12, "fc2": 5}
+    data = make_synthetic_dataset(seed=seed)
+    base_cfg = TrainConfig(
+        learning_rate=0.05, batch_size=32, lr_step=12, seed=seed
+    )
+    baseline, _ = finetune(toy_cnn(seed=seed), data, base_cfg, epochs=16)
+    _, base_acc = evaluate(baseline, data.test_x, data.test_y)
+
+    ft_cfg = TrainConfig(
+        learning_rate=0.02, batch_size=32, epochs_per_stage=4, lr_step=3,
+        seed=seed,
+    )
+    it_net, it_log = iterative_compress(baseline, data, ranks, ft_cfg)
+    os_net, os_log = oneshot_compress(baseline, data, ranks, ft_cfg)
+    assert not it_log.diverged and not os_log.diverged
+    _, it_acc = evaluate(it_net, data.test_x, data.test_y)
+    _, os_acc = evaluate(os_net, data.test_x, data.test_y)
+    return base_acc, it_acc, os_acc
+
+
 @pytest.mark.slow
 def test_criterion_8_iterative_vs_oneshot():
     start = time.time()
-    ranks = {"conv1": 6, "conv2": 18, "fc1": 12, "fc2": 5}
-    baseline_accs, iterative_accs, oneshot_accs = [], [], []
-    for seed in range(5):
-        data = make_synthetic_dataset(seed=seed)
-        base_cfg = TrainConfig(
-            learning_rate=0.05, batch_size=32, lr_step=12, seed=seed
-        )
-        baseline, _ = finetune(toy_cnn(seed=seed), data, base_cfg, epochs=16)
-        _, base_acc = evaluate(baseline, data.test_x, data.test_y)
-
-        ft_cfg = TrainConfig(
-            learning_rate=0.02, batch_size=32, epochs_per_stage=4, lr_step=3,
-            seed=seed,
-        )
-        it_net, it_log = iterative_compress(baseline, data, ranks, ft_cfg)
-        os_net, os_log = oneshot_compress(baseline, data, ranks, ft_cfg)
-        assert not it_log.diverged and not os_log.diverged
-        _, it_acc = evaluate(it_net, data.test_x, data.test_y)
-        _, os_acc = evaluate(os_net, data.test_x, data.test_y)
-        baseline_accs.append(base_acc)
-        iterative_accs.append(it_acc)
-        oneshot_accs.append(os_acc)
+    # Five seeds over two worker processes of one BLAS thread each.  A
+    # spawned worker reads the environment when it starts, so the parent's
+    # is restored once the pool is up.
+    with mock.patch.dict(os.environ, OPENBLAS_NUM_THREADS="1"):
+        pool = multiprocessing.get_context("spawn").Pool(2)
+    with pool:
+        results = pool.map(_criterion_8_seed, range(5))
+    baseline_accs, iterative_accs, oneshot_accs = zip(*results)
 
     elapsed = time.time() - start
     med_it = float(np.median(iterative_accs))

@@ -14,12 +14,11 @@ from cpcompress.cp import (
     _fit_rank1_array,
     decompose_kernel,
     reconstruct,
-    residual_curve,
 )
 from cpcompress.network import Conv
 from cpcompress.tensor import DenseTensor
 
-from helpers import separated_cp_kernel
+from helpers import first_terms, prefix_residuals, separated_cp_kernel
 
 PRECISE = dict(max_inner_iters=500, tol=1e-13)
 
@@ -88,10 +87,14 @@ class TestSweepCap:
     def test_capped_residual_close_to_cap_200(self):
         # Most of these terms run past 100 sweeps; stopping them there costs
         # little of the final residual.
-        kernel = DenseTensor.from_array(he_kernel((64, 64, 3, 3), 0))
-        capped = residual_curve(kernel, 16, TpmConfig(rank=16, seed=0))
-        longer = residual_curve(kernel, 16, TpmConfig(rank=16, seed=0, max_inner_iters=200))
-        assert capped[-1] <= 1.005 * longer[-1]
+        kernel = he_kernel((64, 64, 3, 3), 0)
+        capped = decompose_kernel(DenseTensor.from_array(kernel), TpmConfig(rank=16, seed=0))
+        longer = decompose_kernel(
+            DenseTensor.from_array(kernel), TpmConfig(rank=16, seed=0, max_inner_iters=200)
+        )
+        assert rel_err(reconstruct(capped).array, kernel) <= 1.005 * rel_err(
+            reconstruct(longer).array, kernel
+        )
 
     def test_conv_decompose_uses_the_default_cap(self):
         weights = he_kernel((12, 6, 3, 3), 4)
@@ -214,15 +217,6 @@ class TestDecomposeKernel:
         rebuilt = reconstruct(decompose_kernel(DenseTensor.from_array(kernel), cfg))
         assert rel_err(rebuilt.array, kernel) <= 1e-8
 
-    def test_rank1_residual_definition(self):
-        rng = np.random.default_rng(1)
-        kernel = rng.standard_normal((3, 2, 3, 3))
-        cfg = TpmConfig(rank=1, seed=4, **PRECISE)
-        factors = decompose_kernel(DenseTensor.from_array(kernel), cfg)
-        residual = np.linalg.norm(kernel - reconstruct(factors).array)
-        curve = residual_curve(DenseTensor.from_array(kernel), 1, cfg)
-        assert residual / np.linalg.norm(kernel) == pytest.approx(curve[0], rel=1e-9)
-
     def test_first_term_dominates(self):
         # Scales live in the output-mixing columns; greedy extraction takes
         # the largest component first on these seeded inputs.
@@ -317,27 +311,41 @@ class TestReconstruct:
 
 
 class TestResidualCurve:
+    """The residual after each of a decomposition's terms, read from its
+    prefixes (`helpers.prefix_residuals`)."""
+
+    @pytest.mark.parametrize(
+        "shape, seed, rank",
+        [((64, 48, 3, 3), 5, 8), ((64, 150, 3, 3), 0, 4)],
+        ids=["he-64x48", "multi-slab"],
+    )
+    def test_prefix_is_the_lower_rank_run(self, shape, seed, rank):
+        kernel = DenseTensor.from_array(he_kernel(shape, seed))
+        full = decompose_kernel(kernel, TpmConfig(rank=rank, seed=seed))
+        for r in range(1, rank):
+            lower = decompose_kernel(kernel, TpmConfig(rank=r, seed=seed))
+            assert factor_bytes(lower) == factor_bytes(first_terms(full, r)), r
+
     def test_exact_rank1_first_entry(self):
         rng = np.random.default_rng(4)
         kernel = separated_cp_kernel(4, 3, 3, rank=1, rng=rng)
-        curve = residual_curve(
-            DenseTensor.from_array(kernel), 2, TpmConfig(rank=2, seed=0, **PRECISE)
+        factors = decompose_kernel(
+            DenseTensor.from_array(kernel), TpmConfig(rank=2, seed=0, **PRECISE)
         )
-        assert curve[0] <= 1e-8
+        assert prefix_residuals(kernel, factors)[0] <= 1e-8
 
     def test_non_increasing_on_random_kernels(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            kernel = DenseTensor.from_array(rng.standard_normal((3, 3, 3, 3)))
-            curve = residual_curve(kernel, 8, TpmConfig(rank=8, seed=1))
+            kernel = rng.standard_normal((3, 3, 3, 3))
+            factors = decompose_kernel(
+                DenseTensor.from_array(kernel), TpmConfig(rank=8, seed=1)
+            )
+            curve = prefix_residuals(kernel, factors)
             for earlier, later in zip(curve, curve[1:]):
                 assert later <= earlier
 
     def test_zero_kernel_convention(self):
         zero = DenseTensor.from_array(np.zeros((2, 2, 3, 3)))
-        curve = residual_curve(zero, 4, TpmConfig(rank=4))
-        assert curve == [0.0, 0.0, 0.0, 0.0]
-
-    def test_rank_bound(self):
-        with pytest.raises(ValueError):
-            residual_curve(DenseTensor.from_array(np.zeros((2, 2, 1, 1))), 5, TpmConfig(rank=1))
+        factors = decompose_kernel(zero, TpmConfig(rank=4))
+        assert factors.u3.shape == (2, 4) and not np.any(factors.u3)

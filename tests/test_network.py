@@ -350,6 +350,26 @@ class TestLayerFactorization:
         with pytest.raises(ValueError, match="factor shape mismatch"):
             replace_layer(net, "fc", SvdFactors(np.ones((5, 1)), np.ones((1, 7))))
 
+    @pytest.mark.parametrize(
+        "kind, factors",
+        [
+            ("fc", (np.zeros((4, 1)), np.zeros((1, 3)))),
+            ("fc", None),
+            ("fc", CpFactors(np.zeros((1, 1)), np.zeros((1, 3, 3)), np.zeros((2, 1)))),
+            ("conv", (np.zeros((1, 1)), np.zeros((1, 3, 3)))),
+            ("conv", None),
+            ("conv", SvdFactors(np.zeros((4, 1)), np.zeros((1, 3)))),
+        ],
+        ids=["fc-arrays", "fc-none", "fc-cp", "conv-arrays", "conv-none", "conv-svd"],
+    )
+    def test_factorized_kinds_refuse_wrong_factor_types(self, kind, factors):
+        # The conv spec has two groups, so two plain arrays pass the count check.
+        with pytest.raises(ValueError, match=f"^{kind}: "):
+            if kind == "fc":
+                DecomposedFc("fc", factors)
+            else:
+                DecomposedConv("conv", ConvSpec(4, 2, 3, padding=1, groups=2), factors)
+
     def test_rank_bounds_name_the_layer(self):
         net = _grouped_net()
         # conv: ceil(rank / 2) within each group's S_g*D^2*T_g = 2*9*3 = 54.
