@@ -34,6 +34,15 @@ _INIT_POWER_ITERS = 5
 # about 15% slower.
 _SLAB_ROWS = 64
 
+# Work tensors of at least this many elements are swept in float32 before
+# the float64 sweeps (`_fit_rank1_array`).  In float64 such a tensor fills
+# a 2 MiB L2, so each sweep streams it from memory, and float32 halves the
+# bytes read: a sweep's two GEMV passes over a (192, 9, 192) tensor took
+# 50 us in float32 against 139 us in float64 (one BLAS thread, x86-64).
+# Of the benchmark's kernels only that one, conv4's, reaches the size;
+# every toy kernel stays far below it and keeps the float64-only path.
+_F32_MIN_SIZE = 2**18
+
 
 @dataclass(frozen=True)
 class TpmConfig:
@@ -47,7 +56,11 @@ class TpmConfig:
         moved by at most +0.11% from cap 200 to cap 100 (seeds 0 and 3),
         and the fits took about 60% of the time.  Terms that meet ``tol``
         within 100 sweeps are unchanged; ``max_inner_iters=200`` gives back
-        the factors of the earlier default bit for bit.
+        the factors of the earlier default bit for bit.  For a work tensor
+        swept in float32 first (`_F32_MIN_SIZE`), the cap counts the
+        sweeps of both phases, and `_fit_rank1_array`'s ``history`` gets
+        one scale per sweep of either phase, so its length is the sweeps
+        run and equals the cap on a cap hit.
     tol: stop a fit once the scale changes by less than ``tol`` relatively.
     seed: seeds the random start vectors; same seed, same input ->
         bit-identical factors.
@@ -165,6 +178,55 @@ def _init_mode_vector(unfolding: np.ndarray, rng: np.random.Generator) -> np.nda
     return w
 
 
+def _sweeps(target, b, c, max_iters, tol, scale=0.0, history=None):
+    """Up to `max_iters` coordinate-descent sweeps on `target`, computed in
+    its dtype from the mode vectors `b` and `c`.
+
+    With two mode vectors held fixed, the optimal third is the normalized
+    contraction of the target with them, and the optimal scale is the
+    contraction value itself, so each update step is exact least squares.
+    The sweeps stop once the scale moves from the one before (at first,
+    `scale`) by at most `tol` relatively, or once it is zero.  Returns
+    (a, b, c, scale, sweeps run), the vectors in the target's dtype; at a
+    zero scale, `c` is the last nonzero one.  `history`, if given, gets
+    each nonzero scale.
+
+    Each sweep reads the target twice, in snake order: ``target @ c`` runs
+    over slabs of `_SLAB_ROWS` rows, last slab first, and ``a @ target``
+    then runs forward over all rows, so each pass starts on the rows the
+    one before it left in cache.  Each slab stays 3-D, so numpy makes the
+    same (n1, n2) GEMV per row ``target[i]`` that one ``target @ c`` makes,
+    and the factors are the same bit for bit whatever the slab size.
+    """
+    n0, n1, n2 = target.shape
+    b = b.astype(target.dtype, copy=False)
+    c = c.astype(target.dtype, copy=False)
+    flat = target.reshape(n0, -1)
+    tc = np.empty((n0, n1), target.dtype)
+    mode2 = np.empty(n1 * n2, target.dtype)
+    mode2_t = mode2.reshape(n1, n2).T
+    vc = np.empty(n2, target.dtype)
+    slabs = [slice(lo, lo + _SLAB_ROWS) for lo in reversed(range(0, n0, _SLAB_ROWS))]
+    for sweep in range(1, max_iters + 1):
+        for rows in slabs:
+            np.matmul(target[rows], c, out=tc[rows])
+        a = _unit(tc @ b)
+        b = _unit(a @ tc)
+        np.matmul(a, flat, out=mode2)
+        np.matmul(mode2_t, b, out=vc)
+        new_scale = _norm(vc)
+        if new_scale == 0.0:
+            return a, b, c, 0.0, sweep
+        c = vc / new_scale
+        converged = abs(new_scale - scale) <= tol * new_scale
+        scale = new_scale
+        if history is not None:
+            history.append(scale)
+        if converged:
+            break
+    return a, b, c, scale, sweep
+
+
 def _fit_rank1_array(
     target: np.ndarray,
     rng: np.random.Generator,
@@ -173,23 +235,24 @@ def _fit_rank1_array(
     history: list | None = None,
     unfolding: np.ndarray | None = None,
 ):
-    """Best-effort rank-1 fit of a 3-way array by coordinate descent.
+    """Best-effort rank-1 fit of a 3-way float64 array by coordinate descent
+    (`_sweeps`).  Returns (a, b, c, scale) as float64, with unit vectors and
+    scale >= 0; any sign lives in c.
 
-    With two mode vectors held fixed, the optimal third is the normalized
-    contraction of the target with them, and the optimal scale is the
-    contraction value itself, so each update step is exact least squares.
-    The scale therefore never decreases from sweep to sweep.  Returns
-    (a, b, c, scale) with unit vectors and scale >= 0; any sign lives in c.
-    `unfolding`, if given, is an (n1, n0*n2) buffer that receives the
-    mode-2 unfolding instead of a fresh array; only the start vector reads
-    it, so the caller may reuse it once the fit returns.
+    A target of fewer than `_F32_MIN_SIZE` elements is fitted in float64
+    alone, and its scale never decreases from sweep to sweep.  A larger one
+    is first swept in float32, on a float32 copy held in `unfolding`'s
+    memory, until its scale moves by at most ``max(tol, 1e-6)``
+    relatively; the float64 sweeps then continue from the upcast vectors
+    until `tol` or the cap, and only they keep the scale non-decreasing.
+    `max_iters` caps the sweeps of both phases together.  If the float32
+    phase takes them all, c and the scale come from one float64 contraction
+    with its renormalised a and b.  `history`, if given, gets the scale of
+    every sweep of either phase.
 
-    Each sweep reads the target twice, in snake order: ``target @ c`` runs
-    over slabs of `_SLAB_ROWS` rows, last slab first, and ``a @ target``
-    then runs forward over all rows, so each pass starts on the rows the
-    one before it left in cache.  Each slab stays 3-D, so numpy makes the
-    same (n1, n2) GEMV per row ``target[i]`` that one ``target @ c`` makes,
-    and the factors are the same bit for bit whatever the slab size.
+    `unfolding`, if given, is an (n1, n0*n2) float64 buffer that receives
+    the mode-2 unfolding for the start vector and then the float32 copy,
+    instead of a fresh array; the caller may reuse it once the fit returns.
     """
     n0, n1, n2 = target.shape
     if not np.any(target):
@@ -204,31 +267,23 @@ def _fit_rank1_array(
     b = _init_mode_vector(unfolding, rng)
     c = _init_mode_vector(np.moveaxis(target, 2, 0).reshape(n2, -1), rng)
 
-    flat = target.reshape(n0, -1)
-    tc = np.empty((n0, n1))
-    mode2 = np.empty(n1 * n2)
-    mode2_t = mode2.reshape(n1, n2).T
-    vc = np.empty(n2)
-    slabs = [slice(lo, lo + _SLAB_ROWS) for lo in reversed(range(0, n0, _SLAB_ROWS))]
     scale = 0.0
-    for _ in range(max_iters):
-        for rows in slabs:
-            np.matmul(target[rows], c, out=tc[rows])
-        a = _unit(tc @ b)
-        b = _unit(a @ tc)
-        np.matmul(a, flat, out=mode2)
-        np.matmul(mode2_t, b, out=vc)
-        new_scale = _norm(vc)
-        if new_scale == 0.0:
-            scale = 0.0
-            break
-        c = vc / new_scale
-        converged = abs(new_scale - scale) <= tol * new_scale
-        scale = new_scale
-        if history is not None:
-            history.append(scale)
-        if converged:
-            break
+    if target.size >= _F32_MIN_SIZE:
+        single = unfolding.reshape(-1).view(np.float32)[: target.size].reshape(target.shape)
+        np.copyto(single, target, casting="same_kind")
+        # float32 rounds the scale to about 1e-7 relatively, so a tighter
+        # tolerance could not be met in this phase.
+        a, b, c, scale, used = _sweeps(single, b, c, max_iters, max(tol, 1e-6), history=history)
+        a, b, c = (v.astype(np.float64) for v in (a, b, c))
+        max_iters -= used
+        if max_iters == 0:
+            a, b = _unit(a), _unit(b)
+            vc = (a @ target.reshape(n0, -1)).reshape(n1, n2).T @ b
+            scale = _norm(vc)
+            if scale != 0.0:
+                c = vc / scale
+            return a, b, c, scale
+    a, b, c, scale, _ = _sweeps(target, b, c, max_iters, tol, scale, history)
     return a, b, c, scale
 
 
@@ -244,10 +299,17 @@ def decompose_kernel(kernel: DenseTensor, cfg: TpmConfig) -> CpFactors:
     Terms never revisit earlier ones and the random start vectors are drawn
     term by term, so the first r terms of a rank-R run are the rank-r run
     bit for bit.  One scratch array of the work copy's size serves every
-    term, first as the fit's mode-2 unfolding and then as the rank-1 term.
-    The deflation ``work -= scale * (a x b x c)`` runs its multiplies and
-    subtraction in that order through it, so it rounds as the temporaries
-    would.  A zero residual gives zero u3 columns.
+    term, first as the fit's mode-2 unfolding, then, for a work copy of at
+    least `_F32_MIN_SIZE` elements, as the fit's float32 copy, and last as
+    the rank-1 term.  The deflation ``work -= scale * (a x b x c)`` runs its
+    multiplies and subtraction in that order through it, so it rounds as
+    the temporaries would.  A zero residual gives zero u3 columns.
+
+    The work copy is scaled by the power of two that brings its largest
+    |entry| into [0.5, 1), and u3 gets the factor back.  Powers of two
+    scale exactly, so the factors of an ordinary kernel are the unscaled
+    run's bit for bit, while kernels with entries near the float64 range's
+    ends neither overflow in the sweeps nor lose precision in float32.
     """
     arr = kernel.array
     if arr.ndim != 4:
@@ -260,6 +322,8 @@ def decompose_kernel(kernel: DenseTensor, cfg: TpmConfig) -> CpFactors:
     if cfg.rank > s * d * d * t:
         raise ValueError(f"rank {cfg.rank} exceeds the trivial bound {s * d * d * t}")
     work = arr.transpose(1, 2, 3, 0).reshape(s, d * d, t).copy()
+    exponent = int(np.frexp(max(work.max(), -work.min()))[1])
+    np.ldexp(work, -exponent, out=work)
 
     rng = np.random.default_rng(cfg.seed)
     term = np.empty_like(work)
@@ -278,6 +342,7 @@ def decompose_kernel(kernel: DenseTensor, cfg: TpmConfig) -> CpFactors:
         u1[r] = a
         u2[r] = b.reshape(d, d)
         u3[:, r] = scale * c
+    np.ldexp(u3, exponent, out=u3)
     return CpFactors(_freeze(u1), _freeze(u2), _freeze(u3))
 
 

@@ -227,16 +227,21 @@ class Conv(_ConvKind):
 
     def decompose(self, rank, *, seed=0) -> tuple:
         """One CpFactors per channel group, each at rank ceil(rank / groups)
-        and seeded with seed + its group index."""
+        and seeded with seed + its group index.  An ungrouped kernel is
+        handed over whole, so `DenseTensor` adopts it without a copy."""
         check_rank(self, rank)
         groups = self.spec.groups
-        t_g = self.spec.out_channels // groups
+        if groups == 1:
+            kernels = (self.weights,)
+        else:
+            t_g = self.spec.out_channels // groups
+            kernels = (self.weights[gi * t_g : (gi + 1) * t_g] for gi in range(groups))
         return tuple(
             decompose_kernel(
-                DenseTensor.from_array(self.weights[gi * t_g : (gi + 1) * t_g]),
+                DenseTensor.from_array(kernel),
                 TpmConfig(rank=ceil(rank / groups), seed=seed + gi),
             )
-            for gi in range(groups)
+            for gi, kernel in enumerate(kernels)
         )
 
     def factorized(self, factors):

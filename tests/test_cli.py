@@ -7,6 +7,7 @@ import sys
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cpcompress
@@ -75,6 +76,26 @@ class TestDecompose:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert "non-finite" in captured.err
+
+    def test_huge_weights_decompose_to_a_loadable_model(self, tmp_path, capsys):
+        # Weights near 1e200 once overflowed in the power method's norms and
+        # were saved as non-finite factors that load refused.
+        net = toy_cnn(seed=0)
+        conv2 = net.layer("conv2")
+        huge = conv2.with_params({**conv2.params(), "weights": conv2.weights * 1e200})
+        model = tmp_path / "huge.cpnet"
+        save(NetworkSpec(net.input_shape, tuple(
+            huge if layer is conv2 else layer for layer in net.layers
+        )), model)
+        ranks = tmp_path / "ranks.tsv"
+        ranks.write_text("conv2\t6\n")
+        out_path = tmp_path / "compressed.cpnet"
+        code = main(["decompose", "--model-in", str(model), "--ranks-file", str(ranks),
+                     "--model-out", str(out_path)])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        (factors,) = load(out_path).layer("conv2").factors
+        assert np.all(np.isfinite(factors.u3)) and np.abs(factors.u3).max() > 1e199
 
     def test_empty_ranks_leaves_ratios_at_one(self, toy_model_path, tmp_path, capsys):
         ranks = tmp_path / "ranks.tsv"

@@ -171,6 +171,100 @@ class TestSnakeSweeps:
                 assert later >= earlier * (1.0 - 1e-12)
 
 
+class TestMixedPrecision:
+    """Work tensors of at least `_F32_MIN_SIZE` elements are swept in float32
+    first, then in float64.
+
+    S=150 makes the snake sweeps run over several slabs, none of which a
+    tested slab size divides evenly.
+    """
+
+    SHAPE = (200, 150, 3, 3)
+
+    @staticmethod
+    def kernel():
+        return DenseTensor.from_array(he_kernel(TestMixedPrecision.SHAPE, 1))
+
+    def test_shape_reaches_the_threshold(self):
+        t, s, d, _ = self.SHAPE
+        assert t * s * d * d >= cp._F32_MIN_SIZE
+
+    def test_residual_close_to_the_float64_path(self, monkeypatch):
+        cfg = TpmConfig(rank=4, seed=0)
+        kernel = self.kernel()
+        mixed = decompose_kernel(kernel, cfg)
+        monkeypatch.setattr(cp, "_F32_MIN_SIZE", math.inf)
+        double = decompose_kernel(kernel, cfg)
+        assert factor_bytes(mixed) != factor_bytes(double)
+        assert rel_err(reconstruct(mixed).array, kernel.array) <= 1.001 * rel_err(
+            reconstruct(double).array, kernel.array
+        )
+
+    def test_repeated_runs_are_bit_identical(self):
+        cfg = TpmConfig(rank=2, seed=5)
+        kernel = self.kernel()
+        assert factor_bytes(decompose_kernel(kernel, cfg)) == factor_bytes(
+            decompose_kernel(kernel, cfg)
+        )
+
+    def test_factors_do_not_depend_on_the_slab_size(self, monkeypatch):
+        kernel = self.kernel()
+        cfg = TpmConfig(rank=2, seed=0)
+        default = factor_bytes(decompose_kernel(kernel, cfg))
+        for rows in (7, 150):
+            monkeypatch.setattr(cp, "_SLAB_ROWS", rows)
+            assert factor_bytes(decompose_kernel(kernel, cfg)) == default, rows
+
+    def test_prefix_is_the_lower_rank_run(self):
+        kernel = self.kernel()
+        full = decompose_kernel(kernel, TpmConfig(rank=3, seed=2))
+        lower = decompose_kernel(kernel, TpmConfig(rank=2, seed=2))
+        assert factor_bytes(lower) == factor_bytes(first_terms(full, 2))
+
+    def test_planted_kernel_recovered(self):
+        t, s, d, _ = self.SHAPE
+        kernel = separated_cp_kernel(t, s, d, rank=3, rng=np.random.default_rng(4))
+        cfg = TpmConfig(rank=3, seed=1, **PRECISE)
+        rebuilt = reconstruct(decompose_kernel(DenseTensor.from_array(kernel), cfg))
+        assert rel_err(rebuilt.array, kernel) <= 1e-8
+
+    def test_cap_counts_both_phases(self):
+        # Ten sweeps are too few for the float32 phase to settle, so it takes
+        # them all; c and the scale then come from one float64 contraction.
+        t, s, d, _ = self.SHAPE
+        target = np.random.default_rng(3).standard_normal((s, d * d, t))
+        history = []
+        a, b, c, scale = _fit_rank1_array(
+            target, np.random.default_rng(0), 10, 1e-8, history=history
+        )
+        assert len(history) == 10
+        assert {v.dtype for v in (a, b, c)} == {np.dtype(np.float64)}
+        for v in (a, b, c):
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert scale == pytest.approx(np.einsum("ijk,i,j,k->", target, a, b, c), rel=1e-12)
+
+    def test_factors_are_pinned(self):
+        # Recorded when the float32 phase was added (numpy 2.4, x86-64).
+        factors = decompose_kernel(self.kernel(), TpmConfig(rank=2, seed=0))
+        assert hashlib.sha256(factor_bytes(factors)).hexdigest() == (
+            "8918ca95d724c9cd782e9bcf2c8e923c09b246358a0acc97e80f20d306e7b750"
+        )
+
+
+class TestPowerOfTwoScaling:
+    """`decompose_kernel` scales its work copy by a power of two."""
+
+    @pytest.mark.parametrize("exponent", [1000, -1000])
+    def test_extreme_magnitudes_scale_exactly(self, exponent):
+        kernel = he_kernel((16, 8, 3, 3), 0)
+        cfg = TpmConfig(rank=6, seed=0)
+        plain = decompose_kernel(DenseTensor.from_array(kernel), cfg)
+        scaled = decompose_kernel(DenseTensor.from_array(np.ldexp(kernel, exponent)), cfg)
+        assert scaled.u1.tobytes() == plain.u1.tobytes()
+        assert scaled.u2.tobytes() == plain.u2.tobytes()
+        assert scaled.u3.tobytes() == np.ldexp(plain.u3, exponent).tobytes()
+
+
 class TestFitRank1:
     def test_exact_rank1_recovered(self):
         target = 2.0 * np.einsum("i,j,k->ijk", [1.0, 0.0], [0.0, 1.0], [1.0, 0.0])

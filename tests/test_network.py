@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from cpcompress import network
 from cpcompress.conv import ConvSpec, MultiplyCounter
 from cpcompress.cp import CpFactors
 from cpcompress.data import make_synthetic_dataset
@@ -277,6 +278,19 @@ class TestGroupedDecomposition:
         factors = decompose_layer(layer, 5, seed=0)
         assert len(factors) == 2
         assert all(f.rank == 3 for f in factors)  # ceil(5 / 2)
+
+    def test_ungrouped_kernel_is_not_copied(self, monkeypatch):
+        # Only grouped kernels are sliced; an ungrouped layer's frozen
+        # weights reach the fit as they are.
+        seen = []
+        real = network.decompose_kernel
+        monkeypatch.setattr(
+            network, "decompose_kernel",
+            lambda kernel, cfg: seen.append(kernel.array) or real(kernel, cfg),
+        )
+        layer = toy_cnn(0).layer("conv2")
+        layer.decompose(4, seed=0)
+        assert len(seen) == 1 and seen[0] is layer.weights
 
 
 def _grouped_net():
