@@ -55,14 +55,21 @@ class SensitivityReport:
 
     @classmethod
     def from_table(cls, text: str) -> "SensitivityReport":
-        baseline = float("nan")
+        """Parse `to_table`'s text.  A missing baseline line reads as NaN; a
+        second one, or one without a single finite value, is refused."""
+        baseline = None
         entries = []
         for line in text.splitlines():
             line = line.strip()
             if not line:
                 continue
             if line.startswith("# baseline_accuracy"):
-                baseline = float(line.split("\t")[1])
+                if baseline is not None:
+                    raise ValueError("baseline_accuracy is listed twice")
+                fields = line.split("\t")
+                baseline = float(fields[1]) if len(fields) == 2 else float("nan")
+                if not np.isfinite(baseline):
+                    raise ValueError(f"baseline_accuracy needs one finite value: {line!r}")
                 continue
             if line.startswith("group\t"):
                 continue
@@ -73,22 +80,23 @@ class SensitivityReport:
             if not (np.isfinite(acc) and np.isfinite(loss)):
                 raise ValueError(f"layer {name!r} has a non-finite accuracy or loss")
             entries.append(LayerSensitivity(name, group, acc, loss))
-        return cls(baseline, tuple(entries))
+        return cls(float("nan") if baseline is None else baseline, tuple(entries))
 
 
 def largest_remainder(weights, total: int) -> list:
     """Integers proportional to `weights` that sum to exactly `total`.
 
     All-zero weights fall back to a uniform split.  Fractional ties go to
-    the earlier index.
+    the earlier index.  `total` may be at most 2**53, past which a float64
+    quota no longer holds every integer.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty vector")
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite and non-negative")
-    if total < 0:
-        raise ValueError("total must be non-negative")
+    if not 0 <= total <= 2**53:
+        raise ValueError(f"total {total} is outside [0, 2**53]")
     mass = w.sum()
     if mass == 0.0:
         quotas = np.full(w.size, total / w.size)

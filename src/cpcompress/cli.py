@@ -201,9 +201,12 @@ def _allocate(report: SensitivityReport, text: str) -> dict:
     try:
         for part in text.split(","):
             key, _, value = part.partition("=")
+            key = key.strip()
             if not value:
                 raise ValueError(f"bad budget component {part!r}; want group=N")
-            budgets[key.strip()] = int(value)
+            if key in budgets:
+                raise ValueError(f"group {key!r} is given twice")
+            budgets[key] = int(value)
         return allocate_ranks(report, budgets)
     except ValueError as exc:
         raise _Refused(EXIT_ARGS, str(exc)) from None

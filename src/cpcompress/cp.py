@@ -11,12 +11,11 @@ decomposition, and the residual norm is non-increasing in R.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import DenseTensor, _freeze, _frozen
+from .tensor import DenseTensor, _freeze, _frozen, _set_integers
 
 __all__ = [
     "TpmConfig",
@@ -25,13 +24,24 @@ __all__ = [
     "reconstruct",
 ]
 
+# How each rank-1 fit runs; `TpmConfig` says only what to decompose.
 _INIT_POWER_ITERS = 5
 
+# A fit stops once its scale moves by at most `_TOL` relatively, or after
+# `_MAX_SWEEPS` sweeps.  The cap was 200: on the 3x3 kernels of
+# `benchmarks/workloads.py`'s mid-size CNN (R=32 and 64) and on a He-random
+# (128,48,5,5) kernel at R=77, the final relative residual moved by at most
+# +0.11% from cap 200 to cap 100 (seeds 0 and 3), and the fits took about
+# 60% of the time.  A cap of 200 gives back the earlier factors bit for bit.
+_MAX_SWEEPS = 100
+_TOL = 1e-8
+
 # Rows of the (S, D*D, T) work tensor per slab of a sweep's reverse pass.
-# At 64 rows a slab of a (192, 9, 192) tensor is 0.9 MB, well inside a
-# 2 MiB L2.  On that tensor at R=64, slabs of 16 to 128 rows fitted within
-# a few percent of each other, and one slab of all 192 rows (no reversal)
-# about 15% slower.
+# Slabs pay only on a tensor that outgrows a 2 MiB L2 (one BLAS thread,
+# x86-64, median of interleaved pairs): a He-random (384,256,3,3) kernel
+# at R=12 took 0.50 s against 0.62 s in one slab (faster in 8 of 10), but
+# the benchmark's (192,192,3,3) at R=64, whose float32 copy of 1.3 MB fits
+# in L2, took 0.80 s against 0.82 s (faster in 4 of 8).
 _SLAB_ROWS = 64
 
 # Work tensors of at least this many elements are swept in float32 before
@@ -41,54 +51,35 @@ _SLAB_ROWS = 64
 # 50 us in float32 against 139 us in float64 (one BLAS thread, x86-64).
 # Of the benchmark's kernels only that one, conv4's, reaches the size;
 # every toy kernel stays far below it and keeps the float64-only path.
+# The float32 phase stops at `_F32_TOL` if `_TOL` is tighter: float32 rounds
+# the scale to about 1e-7 relatively, so a tighter tolerance is out of reach.
 _F32_MIN_SIZE = 2**18
+_F32_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class TpmConfig:
-    """Knobs for the rank-1 power fits.
+    """What to decompose: the rank-1 fits themselves run at the module's
+    constants (`_MAX_SWEEPS`, `_TOL`).
 
     rank: number of rank-1 terms to extract.
-    max_inner_iters: cap on coordinate-descent sweeps per term.  The default
-        of 100 is set from the residual curve: on the 3x3 kernels of
-        `benchmarks/workloads.py`'s mid-size CNN (R=32 and 64) and on a
-        He-random (128,48,5,5) kernel at R=77, the final relative residual
-        moved by at most +0.11% from cap 200 to cap 100 (seeds 0 and 3),
-        and the fits took about 60% of the time.  Terms that meet ``tol``
-        within 100 sweeps are unchanged; ``max_inner_iters=200`` gives back
-        the factors of the earlier default bit for bit.  For a work tensor
-        swept in float32 first (`_F32_MIN_SIZE`), the cap counts the
-        sweeps of both phases, and `_fit_rank1_array`'s ``history`` gets
-        one scale per sweep of either phase, so its length is the sweeps
-        run and equals the cap on a cap hit.
-    tol: stop a fit once the scale changes by less than ``tol`` relatively.
     seed: seeds the random start vectors; same seed, same input ->
         bit-identical factors.
 
-    The integer settings must be integers (``operator.index``), not booleans,
-    and ``tol`` must be positive and finite; anything else is refused here
-    rather than deep inside the fit.
+    Both must be integers (``operator.index``), not booleans, with
+    ``rank >= 1`` and ``seed >= 0``; anything else is refused here rather
+    than deep inside the fit.
     """
 
     rank: int
-    max_inner_iters: int = 100
-    tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("rank", "max_inner_iters", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+        _set_integers(self, ("rank", "seed"))
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
-        if self.max_inner_iters < 1:
-            raise ValueError("max_inner_iters must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -236,19 +227,20 @@ def _fit_rank1_array(
     unfolding: np.ndarray | None = None,
 ):
     """Best-effort rank-1 fit of a 3-way float64 array by coordinate descent
-    (`_sweeps`).  Returns (a, b, c, scale) as float64, with unit vectors and
-    scale >= 0; any sign lives in c.
+    (`_sweeps`) to relative tolerance `tol` (`decompose_kernel` passes `_TOL`
+    and `_MAX_SWEEPS`).  Returns (a, b, c, scale) as float64, with unit
+    vectors and scale >= 0; any sign lives in c.
 
     A target of fewer than `_F32_MIN_SIZE` elements is fitted in float64
     alone, and its scale never decreases from sweep to sweep.  A larger one
     is first swept in float32, on a float32 copy held in `unfolding`'s
-    memory, until its scale moves by at most ``max(tol, 1e-6)``
+    memory, until its scale moves by at most ``max(tol, _F32_TOL)``
     relatively; the float64 sweeps then continue from the upcast vectors
     until `tol` or the cap, and only they keep the scale non-decreasing.
     `max_iters` caps the sweeps of both phases together.  If the float32
     phase takes them all, c and the scale come from one float64 contraction
     with its renormalised a and b.  `history`, if given, gets the scale of
-    every sweep of either phase.
+    every sweep of either phase, so its length is the number of sweeps run.
 
     `unfolding`, if given, is an (n1, n0*n2) float64 buffer that receives
     the mode-2 unfolding for the start vector and then the float32 copy,
@@ -271,9 +263,7 @@ def _fit_rank1_array(
     if target.size >= _F32_MIN_SIZE:
         single = unfolding.reshape(-1).view(np.float32)[: target.size].reshape(target.shape)
         np.copyto(single, target, casting="same_kind")
-        # float32 rounds the scale to about 1e-7 relatively, so a tighter
-        # tolerance could not be met in this phase.
-        a, b, c, scale, used = _sweeps(single, b, c, max_iters, max(tol, 1e-6), history=history)
+        a, b, c, scale, used = _sweeps(single, b, c, max_iters, max(tol, _F32_TOL), history=history)
         a, b, c = (v.astype(np.float64) for v in (a, b, c))
         max_iters -= used
         if max_iters == 0:
@@ -294,7 +284,8 @@ def decompose_kernel(kernel: DenseTensor, cfg: TpmConfig) -> CpFactors:
     are peeled off it one at a time: each term is fitted to the current
     residual, then subtracted from the work copy in place.  The a-vectors
     become rows of u1, the b-vectors the (reshaped) spatial slices of u2,
-    and scale * c the columns of u3.
+    and scale * c the columns of u3.  Each fit stops at `_TOL` or after
+    `_MAX_SWEEPS` sweeps.
 
     Terms never revisit earlier ones and the random start vectors are drawn
     term by term, so the first r terms of a rank-R run are the rank-r run
@@ -332,9 +323,7 @@ def decompose_kernel(kernel: DenseTensor, cfg: TpmConfig) -> CpFactors:
     u2 = np.empty((cfg.rank, d, d))
     u3 = np.empty((t, cfg.rank))
     for r in range(cfg.rank):
-        a, b, c, scale = _fit_rank1_array(
-            work, rng, cfg.max_inner_iters, cfg.tol, unfolding=unfolding
-        )
+        a, b, c, scale = _fit_rank1_array(work, rng, _MAX_SWEEPS, _TOL, unfolding=unfolding)
         if scale != 0.0:
             np.multiply(a[:, None, None] * b[None, :, None], c, out=term)
             np.multiply(scale, term, out=term)

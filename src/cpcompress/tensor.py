@@ -6,6 +6,8 @@ return :class:`DenseTensor` values; layers keep their arrays read-only with
 anything else once.
 """
 
+import operator
+
 import numpy as np
 
 __all__ = ["DenseTensor"]
@@ -35,6 +37,17 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     it instead of copying it."""
     array.flags.writeable = False
     return array
+
+
+def _set_integers(config, names) -> None:
+    """Replace each named field of the frozen dataclass `config` by its value
+    as an int.  ``operator.index`` refuses floats and strings instead of
+    truncating them; booleans, which it takes as 0 and 1, are refused too."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(config, name, operator.index(value))
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:

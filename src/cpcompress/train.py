@@ -21,13 +21,14 @@ once at the end with the same total epoch budget; it exists as the baseline
 the iterative schedule is measured against.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .network import NetworkSpec, decompose_layer, decomposable_layers, replace_layer
-from .tensor import _freeze
+from .tensor import _freeze, _set_integers
 
 __all__ = [
     "TrainConfig",
@@ -57,6 +58,10 @@ class TrainConfig:
     learning_rate applies to every layer.  It decays by a factor of 10 every
     lr_step epochs within one fine-tuning run.  epochs_per_stage is the
     budget each compression stage gets.
+
+    learning_rate must be positive and finite.  The other settings must be
+    integers (``operator.index``), not booleans: seed >= 0, the rest >= 1.
+    Anything else is refused here rather than deep inside a run.
     """
 
     learning_rate: float = 0.05
@@ -66,10 +71,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1:
-            raise ValueError("learning_rate and batch_size must be positive")
-        if self.epochs_per_stage < 1 or self.lr_step < 1:
-            raise ValueError("epochs_per_stage and lr_step must be >= 1")
+        _set_integers(self, ("batch_size", "epochs_per_stage", "lr_step", "seed"))
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError("learning_rate must be positive and finite")
+        if self.batch_size < 1 or self.epochs_per_stage < 1 or self.lr_step < 1:
+            raise ValueError("batch_size, epochs_per_stage and lr_step must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def rate_for(self, epoch: int) -> float:
         return self.learning_rate * 0.1 ** (epoch // self.lr_step)

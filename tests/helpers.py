@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 
+from cpcompress import cp
 from cpcompress.cp import CpFactors, reconstruct
 from cpcompress.network import (
     Conv,
@@ -37,6 +38,14 @@ def separated_cp_kernel(t, s, d, rank, rng, scales=None):
         for r in range(rank)
     )
     return three.reshape(s, d, d, t).transpose(3, 0, 1, 2).copy()
+
+
+def set_fit_limits(monkeypatch, max_sweeps, tol=None):
+    """Run `decompose_kernel`'s rank-1 fits at another sweep cap and, if
+    given, another tolerance, until `monkeypatch` undoes it."""
+    monkeypatch.setattr(cp, "_MAX_SWEEPS", max_sweeps)
+    if tol is not None:
+        monkeypatch.setattr(cp, "_TOL", tol)
 
 
 def first_terms(factors: CpFactors, r: int) -> CpFactors:

@@ -88,6 +88,14 @@ class TestLargestRemainder:
         with pytest.raises(ValueError):
             largest_remainder([1.0, -0.5], 10)
 
+    def test_total_at_most_2_53(self):
+        # Past 2**53 the float64 quotas skip integers; a total past the
+        # int64 range once raised OverflowError.
+        assert sum(largest_remainder([1.0, 2.0], 2**53)) == 2**53
+        for total in (2**53 + 1, 10**23):
+            with pytest.raises(ValueError):
+                largest_remainder([1.0, 2.0], total)
+
 
 class TestAllocateRanks:
     def test_groups_allocated_independently(self):

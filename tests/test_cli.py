@@ -219,6 +219,8 @@ class TestDecompose:
         ("conv=1,fc=9", "budget 1 for group 'conv' is below its 2 layers"),
         ("conv=8,fc=0", "budget 0 for group 'fc' is below its 2 layers"),
         ("conv=8,fc", "bad budget component"),
+        ("conv=99999999999999999999999,fc=5", "outside [0, 2**53]"),
+        ("conv=4,conv=6,fc=5", "group 'conv' is given twice"),
     ])
     def test_refused_rank_budget(self, toy_model_path, capsys, budget, words):
         code = main([
@@ -320,14 +322,22 @@ class TestAllocate:
         assert "fc7\t275" in out
         assert "fc8\t260" in out
 
-    def test_bad_budget_exit(self, tmp_path, capsys):
+    @pytest.mark.parametrize("budget, words", [
+        ("fc", "bad budget component"),
+        # Once an OverflowError traceback from largest_remainder.
+        ("conv=99999999999999999999999,fc=6", "outside [0, 2**53]"),
+        # Once accepted, the last value winning.
+        ("conv=4,conv=6,fc=6", "group 'conv' is given twice"),
+    ], ids=["no-value", "above-2**53", "repeated-group"])
+    def test_bad_budget_exit(self, tmp_path, capsys, budget, words):
         report = tmp_path / "report.tsv"
         report.write_text(
-            "group\tlayer\tprobe_accuracy\taccuracy_loss\nfc\tfc6\t0.5\t1.0\n"
+            "group\tlayer\tprobe_accuracy\taccuracy_loss\n"
+            "conv\tconv1\t0.5\t1.0\nfc\tfc6\t0.5\t1.0\n"
         )
-        code = main(["allocate", "--report", str(report), "--budget", "fc"])
-        capsys.readouterr()
+        code = main(["allocate", "--report", str(report), "--budget", budget])
         assert code == EXIT_ARGS
+        assert words in _one_line_error(capsys)
 
     @pytest.mark.parametrize("rows, words", [
         # conv1 listed twice once gave "conv1 2", so conv=10 was not met.
@@ -336,7 +346,15 @@ class TestAllocate:
         # max(0.0, nan) is 0.0, so a NaN loss used to read as no loss.
         ("conv\tconv1\t0.5\t0.25\nfc\tfc1\tnan\tnan\n", "non-finite"),
         ("conv\tconv1\t0.5\tinf\nfc\tfc1\t0.5\t0.25\n", "non-finite"),
-    ], ids=["repeated-layer", "nan", "inf"])
+        # A baseline line without a value once raised IndexError.
+        ("# baseline_accuracy\nconv\tconv1\t0.5\t0.25\nfc\tfc1\t0.5\t0.25\n",
+         "baseline_accuracy needs one finite value"),
+        ("# baseline_accuracy\tnan\nconv\tconv1\t0.5\t0.25\nfc\tfc1\t0.5\t0.25\n",
+         "baseline_accuracy needs one finite value"),
+        ("# baseline_accuracy\t0.9\n# baseline_accuracy\t0.8\n"
+         "conv\tconv1\t0.5\t0.25\nfc\tfc1\t0.5\t0.25\n", "baseline_accuracy is listed twice"),
+    ], ids=["repeated-layer", "nan", "inf", "baseline-no-value", "baseline-nan",
+            "baseline-twice"])
     def test_bad_report_rows_refused(self, tmp_path, capsys, rows, words):
         report = tmp_path / "report.tsv"
         report.write_text("group\tlayer\tprobe_accuracy\taccuracy_loss\n" + rows)

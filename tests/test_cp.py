@@ -1,5 +1,6 @@
 """Greedy kernel decomposition: rank-1 fits, deflation, reconstruction."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -18,9 +19,13 @@ from cpcompress.cp import (
 from cpcompress.network import Conv
 from cpcompress.tensor import DenseTensor
 
-from helpers import first_terms, prefix_residuals, separated_cp_kernel
+from helpers import first_terms, prefix_residuals, separated_cp_kernel, set_fit_limits
 
-PRECISE = dict(max_inner_iters=500, tol=1e-13)
+
+@pytest.fixture
+def precise(monkeypatch):
+    """Fits run to a relative tolerance of 1e-13, for up to 500 sweeps."""
+    set_fit_limits(monkeypatch, 500, 1e-13)
 
 
 def rel_err(approx, exact):
@@ -40,58 +45,55 @@ class TestTpmConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             TpmConfig(rank=0)
-        with pytest.raises(ValueError):
-            TpmConfig(rank=1, tol=0.0)
-        with pytest.raises(ValueError):
-            TpmConfig(rank=1, max_inner_iters=0)
 
     def test_default_cap_is_100(self):
-        assert TpmConfig(rank=1).max_inner_iters == 100
+        assert (cp._MAX_SWEEPS, cp._TOL) == (100, 1e-8)
 
-    @pytest.mark.parametrize("name", ["rank", "max_inner_iters", "seed"])
+    def test_fields_are_rank_and_seed(self):
+        # The sweep cap and tolerance are module constants, not settings.
+        assert [f.name for f in dataclasses.fields(TpmConfig)] == ["rank", "seed"]
+        with pytest.raises(TypeError):
+            TpmConfig(rank=1, tol=1e-9)
+
+    @pytest.mark.parametrize("name", ["rank", "seed"])
     def test_integer_settings_refuse_floats(self, name):
         with pytest.raises(TypeError):
             TpmConfig(**{"rank": 2, name: 2.0})
 
-    @pytest.mark.parametrize("name", ["rank", "max_inner_iters", "seed"])
+    @pytest.mark.parametrize("name", ["rank", "seed"])
     def test_integer_settings_refuse_booleans(self, name):
         with pytest.raises(TypeError):
             TpmConfig(**{"rank": 2, name: True})
 
     def test_integer_settings_become_ints(self):
-        cfg = TpmConfig(rank=np.int64(3), max_inner_iters=np.int32(7), seed=np.uint8(2))
-        assert [type(v) for v in (cfg.rank, cfg.max_inner_iters, cfg.seed)] == [int] * 3
+        cfg = TpmConfig(rank=np.int64(3), seed=np.uint8(2))
+        assert [type(v) for v in (cfg.rank, cfg.seed)] == [int] * 2
 
     def test_negative_seed_refused(self):
         with pytest.raises(ValueError):
             TpmConfig(rank=1, seed=-1)
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf])
-    def test_non_finite_tol_refused(self, tol):
-        with pytest.raises(ValueError):
-            TpmConfig(rank=1, tol=tol)
-
 
 class TestSweepCap:
     """The default cap of 100 sweeps per term, against the earlier 200."""
 
-    def test_converged_terms_unchanged_by_the_cap(self):
+    def test_converged_terms_unchanged_by_the_cap(self, monkeypatch):
         # Every term of this planted kernel meets tol well within 100 sweeps.
         kernel = DenseTensor.from_array(
             separated_cp_kernel(6, 5, 3, rank=4, rng=np.random.default_rng(8))
         )
-        at_100 = decompose_kernel(kernel, TpmConfig(rank=4, seed=2, max_inner_iters=100))
-        at_200 = decompose_kernel(kernel, TpmConfig(rank=4, seed=2, max_inner_iters=200))
+        at_100 = decompose_kernel(kernel, TpmConfig(rank=4, seed=2))
+        set_fit_limits(monkeypatch, 200)
+        at_200 = decompose_kernel(kernel, TpmConfig(rank=4, seed=2))
         assert factor_bytes(at_100) == factor_bytes(at_200)
 
-    def test_capped_residual_close_to_cap_200(self):
+    def test_capped_residual_close_to_cap_200(self, monkeypatch):
         # Most of these terms run past 100 sweeps; stopping them there costs
         # little of the final residual.
         kernel = he_kernel((64, 64, 3, 3), 0)
         capped = decompose_kernel(DenseTensor.from_array(kernel), TpmConfig(rank=16, seed=0))
-        longer = decompose_kernel(
-            DenseTensor.from_array(kernel), TpmConfig(rank=16, seed=0, max_inner_iters=200)
-        )
+        set_fit_limits(monkeypatch, 200)
+        longer = decompose_kernel(DenseTensor.from_array(kernel), TpmConfig(rank=16, seed=0))
         assert rel_err(reconstruct(capped).array, kernel) <= 1.005 * rel_err(
             reconstruct(longer).array, kernel
         )
@@ -100,9 +102,7 @@ class TestSweepCap:
         weights = he_kernel((12, 6, 3, 3), 4)
         layer = Conv("conv", ConvSpec(12, 6, 3, padding=1), weights, np.zeros(12))
         (factors,) = layer.decompose(5, seed=3)
-        explicit = decompose_kernel(
-            DenseTensor.from_array(weights), TpmConfig(rank=5, seed=3, max_inner_iters=100)
-        )
+        explicit = decompose_kernel(DenseTensor.from_array(weights), TpmConfig(rank=5, seed=3))
         assert factor_bytes(factors) == factor_bytes(explicit)
 
     @pytest.mark.parametrize(
@@ -117,7 +117,7 @@ class TestSweepCap:
         ],
         ids=["he-3x3", "he-5x5", "zero-residual"],
     )
-    def test_cap_200_factors_are_pinned(self, shape, seed, rank, digest):
+    def test_cap_200_factors_are_pinned(self, monkeypatch, shape, seed, rank, digest):
         # Factors at the earlier default cap, recorded before the deflation
         # moved into preallocated buffers (numpy 2.4, x86-64).  The last
         # kernel has one nonzero, so its residual is exactly zero after the
@@ -127,8 +127,8 @@ class TestSweepCap:
             kernel[2, 1, 0, 2] = 2.0
         else:
             kernel = he_kernel(shape, seed)
-        cfg = TpmConfig(rank=rank, seed=0, max_inner_iters=200)
-        factors = decompose_kernel(DenseTensor.from_array(kernel), cfg)
+        set_fit_limits(monkeypatch, 200)
+        factors = decompose_kernel(DenseTensor.from_array(kernel), TpmConfig(rank=rank, seed=0))
         assert hashlib.sha256(factor_bytes(factors)).hexdigest() == digest
 
 
@@ -221,10 +221,11 @@ class TestMixedPrecision:
         lower = decompose_kernel(kernel, TpmConfig(rank=2, seed=2))
         assert factor_bytes(lower) == factor_bytes(first_terms(full, 2))
 
+    @pytest.mark.usefixtures("precise")
     def test_planted_kernel_recovered(self):
         t, s, d, _ = self.SHAPE
         kernel = separated_cp_kernel(t, s, d, rank=3, rng=np.random.default_rng(4))
-        cfg = TpmConfig(rank=3, seed=1, **PRECISE)
+        cfg = TpmConfig(rank=3, seed=1)
         rebuilt = reconstruct(decompose_kernel(DenseTensor.from_array(kernel), cfg))
         assert rel_err(rebuilt.array, kernel) <= 1e-8
 
@@ -304,20 +305,22 @@ class TestFitRank1:
 
 
 class TestDecomposeKernel:
+    @pytest.mark.usefixtures("precise")
     def test_exact_rank2_orthogonal_roundtrip(self):
         rng = np.random.default_rng(0)
         kernel = separated_cp_kernel(5, 4, 3, rank=2, rng=rng)
-        cfg = TpmConfig(rank=2, seed=1, **PRECISE)
+        cfg = TpmConfig(rank=2, seed=1)
         rebuilt = reconstruct(decompose_kernel(DenseTensor.from_array(kernel), cfg))
         assert rel_err(rebuilt.array, kernel) <= 1e-8
 
+    @pytest.mark.usefixtures("precise")
     def test_first_term_dominates(self):
         # Scales live in the output-mixing columns; greedy extraction takes
         # the largest component first on these seeded inputs.
         rng = np.random.default_rng(2)
         kernel = rng.standard_normal((4, 3, 3, 3))
         factors = decompose_kernel(
-            DenseTensor.from_array(kernel), TpmConfig(rank=4, seed=0, **PRECISE)
+            DenseTensor.from_array(kernel), TpmConfig(rank=4, seed=0)
         )
         scales = np.linalg.norm(factors.u3, axis=0)
         assert scales[0] == max(scales)
@@ -327,11 +330,12 @@ class TestDecomposeKernel:
         factors = CpFactors(np.zeros((69, 3)), np.zeros((69, 11, 11)), np.zeros((96, 69)))
         assert factors.param_count == 69 * 3 + 69 * 121 + 96 * 69 == 15180
 
+    @pytest.mark.usefixtures("precise")
     def test_normalization_convention(self):
         rng = np.random.default_rng(3)
         kernel = rng.standard_normal((4, 3, 3, 3))
         factors = decompose_kernel(
-            DenseTensor.from_array(kernel), TpmConfig(rank=3, seed=0, **PRECISE)
+            DenseTensor.from_array(kernel), TpmConfig(rank=3, seed=0)
         )
         np.testing.assert_allclose(np.linalg.norm(factors.u1, axis=1), 1.0, atol=1e-12)
         flat = factors.u2.reshape(factors.rank, -1)
@@ -384,22 +388,24 @@ class TestReconstruct:
         kernel = reconstruct(CpFactors(np.zeros((2, 3)), np.zeros((2, 3, 3)), np.zeros((4, 2))))
         assert not np.any(kernel.array)
 
-    def test_full_bound_roundtrip(self):
+    def test_full_bound_roundtrip(self, monkeypatch):
         # At the trivial rank bound of the unfolding, greedy deflation
         # drives the residual of a random kernel below 1e-6 relative.
         rng = np.random.default_rng(0)
         kernel = rng.standard_normal((4, 3, 3, 3))
         bound = 3 * 9 * 4
-        cfg = TpmConfig(rank=bound, seed=0, max_inner_iters=500, tol=1e-10)
+        set_fit_limits(monkeypatch, 500, 1e-10)
+        cfg = TpmConfig(rank=bound, seed=0)
         rebuilt = reconstruct(decompose_kernel(DenseTensor.from_array(kernel), cfg))
         assert rel_err(rebuilt.array, kernel) <= 1e-6
 
+    @pytest.mark.usefixtures("precise")
     def test_exact_low_rank_identity(self):
         # Inputs with exact, well-separated low CP rank round-trip at that rank.
         rng = np.random.default_rng(42)
         for rank in (1, 2, 3, 4):
             kernel = separated_cp_kernel(6, 5, 3, rank=rank, rng=rng)
-            cfg = TpmConfig(rank=rank, seed=7, **PRECISE)
+            cfg = TpmConfig(rank=rank, seed=7)
             rebuilt = reconstruct(decompose_kernel(DenseTensor.from_array(kernel), cfg))
             assert rel_err(rebuilt.array, kernel) <= 1e-8
 
@@ -420,11 +426,12 @@ class TestResidualCurve:
             lower = decompose_kernel(kernel, TpmConfig(rank=r, seed=seed))
             assert factor_bytes(lower) == factor_bytes(first_terms(full, r)), r
 
+    @pytest.mark.usefixtures("precise")
     def test_exact_rank1_first_entry(self):
         rng = np.random.default_rng(4)
         kernel = separated_cp_kernel(4, 3, 3, rank=1, rng=rng)
         factors = decompose_kernel(
-            DenseTensor.from_array(kernel), TpmConfig(rank=2, seed=0, **PRECISE)
+            DenseTensor.from_array(kernel), TpmConfig(rank=2, seed=0)
         )
         assert prefix_residuals(kernel, factors)[0] <= 1e-8
 

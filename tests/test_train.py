@@ -42,6 +42,7 @@ from helpers import (
     naive_conv,
     naive_fc,
     naive_max_pool,
+    set_fit_limits,
     strided_check_net,
     unpadded_check_net,
 )
@@ -238,6 +239,28 @@ class TestFirstLayerInputGradient:
         assert asked == {layer.name: layer.name != "conv1" for layer in net.layers}
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("settings", [
+        {"learning_rate": 0.0}, {"learning_rate": -0.1}, {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")}, {"batch_size": 0}, {"epochs_per_stage": 0},
+        {"lr_step": 0}, {"seed": -1},
+    ], ids=["rate-0", "rate-negative", "rate-nan", "rate-inf", "batch-0", "epochs-0",
+            "step-0", "seed-negative"])
+    def test_out_of_range_refused(self, settings):
+        with pytest.raises(ValueError):
+            TrainConfig(**settings)
+
+    @pytest.mark.parametrize("name", ["batch_size", "epochs_per_stage", "lr_step", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"], ids=["2.5", "2.0", "true", "text"])
+    def test_integer_settings_refuse_non_integers(self, name, value):
+        with pytest.raises(TypeError):
+            TrainConfig(**{name: value})
+
+    def test_integer_settings_become_ints(self):
+        cfg = TrainConfig(batch_size=np.int64(16), lr_step=np.int32(3), seed=np.uint8(2))
+        assert [type(v) for v in (cfg.batch_size, cfg.lr_step, cfg.seed)] == [int] * 3
+
+
 class TestFinetune:
     def test_zero_epochs_is_identity(self):
         data = tiny_dataset()
@@ -395,7 +418,7 @@ class TestSchedules:
         assert kinds["conv1"] == kinds["conv2"] == "DecomposedConv"
         assert kinds["fc1"] == kinds["fc2"] == "DecomposedFc"
 
-    def test_full_rank_with_zero_epochs_keeps_accuracy(self):
+    def test_full_rank_with_zero_epochs_keeps_accuracy(self, monkeypatch):
         # At min(M, N) the fc SVD is exact, so the fc layers alone keep the
         # outputs.  The greedy CP at the convs' full_rank is not exact: the
         # outputs move by about 14%, and only the accuracy, near chance for
@@ -410,10 +433,11 @@ class TestSchedules:
         dense = batch_outputs(net, data.test_x)
         diff = np.max(np.abs(batch_outputs(current, data.test_x) - dense))
         assert diff <= 1e-12 * np.max(np.abs(dense))
+        set_fit_limits(monkeypatch, 500, 1e-12)
         for name in ("conv1", "conv2"):
             # The toy convs have one group, so this is the one CpFactors
             # decompose would make, at tighter power-method settings.
-            cfg = TpmConfig(ranks[name], seed=0, max_inner_iters=500, tol=1e-12)
+            cfg = TpmConfig(ranks[name], seed=0)
             factors = decompose_kernel(DenseTensor.from_array(current.layer(name).weights), cfg)
             current = replace_layer(current, name, factors)
         _, acc = evaluate(current, data.test_x, data.test_y)
