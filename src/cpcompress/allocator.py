@@ -16,6 +16,7 @@ from math import floor
 import numpy as np
 
 from .network import NetworkSpec, decompose_layer, replace_layer
+from .tensor import _integer
 from . import train as train_mod
 
 __all__ = [
@@ -116,15 +117,19 @@ def allocate_ranks(report: SensitivityReport, budgets: dict) -> dict:
 
     Within a group, layer ranks are proportional to loss with
     largest-remainder rounding, so they sum exactly to the budget; every
-    layer gets at least rank 1.
+    layer gets at least rank 1.  Each budget must be an integer (see
+    :func:`tensor._integer`), and every budgeted group must have a layer.
     """
     out = {}
     groups = {e.group for e in report.entries}
+    unknown = set(budgets) - groups
+    if unknown:
+        raise ValueError(f"budgets name groups without layers: {sorted(unknown)}")
     for group in sorted(groups):
         entries = report.group_entries(group)
         if group not in budgets:
             raise ValueError(f"no budget given for group {group!r}")
-        budget = int(budgets[group])
+        budget = _integer(budgets[group], f"budget for group {group!r}")
         if budget < len(entries):
             raise ValueError(
                 f"budget {budget} for group {group!r} is below its "

@@ -39,6 +39,7 @@ from .network import (
     save,
 )
 from .presets import ALEXNET_DEFAULT_RANKS, alexnet, alexnet_decomposed, toy_cnn
+from .tensor import _integer
 from .train import (
     DivergedError,
     TrainConfig,
@@ -87,56 +88,34 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _bad_setting(settings: dict):
-    """One-line complaint about the first out-of-range numeric setting in
-    `settings`, or None.
-
-    Config-file values arrive as raw JSON and flags as text that
-    ``_typed_flags`` may have left unconverted, so the type is checked too:
-    a bool is not an integer, nor a string a number.
-    """
-    for name, (_, least, _) in _SETTINGS.items():
-        if name not in settings:
-            continue
-        value = settings[name]
-        if least is not None:
-            if type(value) is not int or value < least:
-                return f"{_flag(name)} must be an integer >= {least}, got {value!r}"
-        elif (
-            type(value) not in (int, float)
-            # False for NaN, the infinities and ints too large for a float.
-            or not 0 < value <= sys.float_info.max
-            or (name == "rank_fraction" and value > 1)
-        ):
-            limit = "in (0, 1]" if name == "rank_fraction" else "a positive number"
-            return f"{_flag(name)} must be {limit}, got {value!r}"
-    return None
-
-
-def _typed_flags(values: dict) -> dict:
-    """`values` with each numeric flag's text converted to its setting's
-    type.  Text that does not convert, or converts to an out-of-range value,
-    stays text, so that ``_bad_setting`` quotes it as it was typed."""
-    typed = dict(values)
-    for name, (default, _, _) in _SETTINGS.items():
-        text = values.get(name)
-        if not isinstance(text, str):
-            continue  # not given
-        try:
-            value = type(default)(text)
-        except ValueError:
-            continue
-        if _bad_setting({name: value}) is None:
-            typed[name] = value
-    return typed
-
-
 class _Refused(Exception):
     """Bad input, reported as one error line and an exit code."""
 
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
+
+
+def _setting(name: str, given, text: bool):
+    """`given` (a flag's text if `text`, else a raw JSON config value) as
+    setting `name`'s value, or :class:`_Refused` quoting it as given.  A
+    real must be an int or float, positive and finite."""
+    default, least, _ = _SETTINGS[name]
+    try:
+        value = type(default)(given) if text else given
+        if least is not None:
+            return _integer(value, name, least)
+        top = 1 if name == "rank_fraction" else sys.float_info.max
+        # False for NaN, the infinities and ints too large for a float.
+        if type(value) in (int, float) and 0 < value <= top:
+            return value
+    except (TypeError, ValueError):
+        pass
+    if least is not None:
+        want = f"an integer >= {least}"
+    else:
+        want = "in (0, 1]" if name == "rank_fraction" else "a positive number"
+    raise _Refused(EXIT_ARGS, f"{_flag(name)} must be {want}, got {given!r}")
 
 
 def _read_ranks(path, names, complete: bool = False) -> dict:
@@ -168,14 +147,14 @@ def _read_ranks(path, names, complete: bool = False) -> dict:
     return ranks
 
 
-def _check_ranks(net: NetworkSpec, ranks: dict) -> None:
+def _check_ranks(net: NetworkSpec, ranks: dict, what: str = "ranks") -> None:
     """Refuse the first rank outside its layer's bound, before any training
     or decomposition starts."""
     try:
         for name, rank in ranks.items():
             check_rank(net.layer(name), rank)
     except ValueError as exc:
-        raise _Refused(EXIT_ARGS, f"invalid ranks: {exc}") from None
+        raise _Refused(EXIT_ARGS, f"invalid {what}: {exc}") from None
 
 
 def _check_output(path) -> None:
@@ -304,7 +283,11 @@ def _trained_baseline(args, net: NetworkSpec):
 
 def cmd_probe(args) -> int:
     """sensitivity table on the built-in task"""
-    data, net, _ = _trained_baseline(args, toy_cnn(seed=args.seed))
+    # The rank is checked on the untrained net, which has the trained one's shapes.
+    untrained = toy_cnn(seed=args.seed)
+    probes = dict.fromkeys(decomposable_layers(untrained), args.probe_rank)
+    _check_ranks(untrained, probes, "probe rank")
+    data, net, _ = _trained_baseline(args, untrained)
 
     def eval_fn(candidate):
         _, acc = evaluate(candidate, data.test_x, data.test_y)
@@ -314,13 +297,10 @@ def cmd_probe(args) -> int:
         learning_rate=args.finetune_lr, batch_size=args.batch_size,
         lr_step=args.lr_step, seed=args.seed,
     )
-    try:
-        report = measure_sensitivity(
-            net, eval_fn, probe_rank=args.probe_rank, data=data, cfg=cfg,
-            epochs=args.probe_epochs, seed=args.seed,
-        )
-    except ValueError as exc:
-        return _fail(EXIT_ARGS, f"invalid probe rank: {exc}")
+    report = measure_sensitivity(
+        net, eval_fn, probe_rank=args.probe_rank, data=data, cfg=cfg,
+        epochs=args.probe_epochs, seed=args.seed,
+    )
     sys.stdout.write(report.to_table())
     return EXIT_OK
 
@@ -476,14 +456,13 @@ def main(argv=None) -> int:
         unknown = set(overlay) - set(DEFAULTS)
         if unknown:
             return _fail(EXIT_ARGS, f"unknown config keys {sorted(unknown)}")
-    flags = _typed_flags(vars(args))
-    # Every config value is checked, whether or not the subcommand takes the
-    # setting, and before the flags that override it.
-    problem = _bad_setting(overlay) or _bad_setting(flags)
-    if problem:
-        return _fail(EXIT_ARGS, problem)
-    args = argparse.Namespace(**{**DEFAULTS, **overlay, **flags})
     try:
+        # Every config value is checked, whether or not the subcommand takes
+        # the setting, and before the flags that override it.
+        settings = {n: _setting(n, overlay[n], False) for n in _SETTINGS if n in overlay}
+        given = vars(args)
+        settings.update((n, _setting(n, given[n], True)) for n in _SETTINGS if n in given)
+        args = argparse.Namespace(**{**DEFAULTS, **given, **settings})
         # Every non-finite result ends in DivergedError or a diverged log, so
         # numpy's overflow warnings would only repeat the one error line.
         with np.errstate(all="ignore"):

@@ -31,13 +31,12 @@ value, not the zeros of its banded matrices.
 batch of one, so the layer's own checks refuse a bad input.
 """
 
-import operator
 from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
-from .tensor import DenseTensor
+from .tensor import DenseTensor, _set_integers
 
 __all__ = [
     "ConvSpec",
@@ -90,19 +89,9 @@ class ConvSpec:
     groups: int = 1
 
     def __post_init__(self):
-        # operator.index refuses floats and strings instead of truncating them.
-        for f in fields(self):
-            object.__setattr__(self, f.name, operator.index(getattr(self, f.name)))
-        if self.out_channels < 1 or self.in_channels < 1:
-            raise ValueError("channel counts must be positive")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ValueError("kernel_size must be odd and positive")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-        if self.padding < 0:
-            raise ValueError("padding must be >= 0")
-        if self.groups < 1:
-            raise ValueError("groups must be >= 1")
+        _set_integers(self, {f.name: 0 if f.name == "padding" else 1 for f in fields(self)})
+        if self.kernel_size % 2 == 0:
+            raise ValueError(f"kernel_size must be odd, got {self.kernel_size}")
         if self.in_channels % self.groups or self.out_channels % self.groups:
             raise ValueError("channel counts must be divisible by groups")
 

@@ -66,20 +66,16 @@ class TpmConfig:
     seed: seeds the random start vectors; same seed, same input ->
         bit-identical factors.
 
-    Both must be integers (``operator.index``), not booleans, with
-    ``rank >= 1`` and ``seed >= 0``; anything else is refused here rather
-    than deep inside the fit.
+    Both must be integers (see :func:`tensor._integer`) with ``rank >= 1``
+    and ``seed >= 0``; anything else is refused here rather than deep inside
+    the fit.
     """
 
     rank: int
     seed: int = 0
 
     def __post_init__(self):
-        _set_integers(self, ("rank", "seed"))
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _set_integers(self, {"rank": 1, "seed": 0})
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ each preceded by its byte length and CRC32.
 """
 
 import json
-import operator
 import os
 import struct
 import zlib
@@ -40,7 +39,7 @@ from . import conv as conv_ops
 from .conv import ConvSpec, MultiplyCounter
 from .cp import CpFactors, TpmConfig, decompose_kernel
 from .svd import SvdFactors, truncated_svd
-from .tensor import DenseTensor, _freeze, _frozen, _same_bits
+from .tensor import DenseTensor, _freeze, _frozen, _integer, _same_bits, _set_integers
 
 __all__ = [
     "Conv",
@@ -229,7 +228,7 @@ class Conv(_ConvKind):
         """One CpFactors per channel group, each at rank ceil(rank / groups)
         and seeded with seed + its group index.  An ungrouped kernel is
         handed over whole, so `DenseTensor` adopts it without a copy."""
-        check_rank(self, rank)
+        rank = check_rank(self, rank)
         groups = self.spec.groups
         if groups == 1:
             kernels = (self.weights,)
@@ -414,7 +413,7 @@ class Fc(_FcKind):
 
     def decompose(self, rank, *, seed=0) -> SvdFactors:
         """The truncated SVD; it is deterministic, so the seed goes unused."""
-        check_rank(self, rank)
+        rank = check_rank(self, rank)
         return truncated_svd(self.weights, rank)
 
     def factorized(self, factors):
@@ -526,10 +525,7 @@ class MaxPool(_Layer):
     per_sample = True
 
     def __post_init__(self):
-        object.__setattr__(self, "window", operator.index(self.window))
-        object.__setattr__(self, "stride", operator.index(self.stride))
-        if self.window < 1 or self.stride < 1:
-            raise ValueError(f"{self.name}: window and stride must be >= 1")
+        _set_integers(self, {"window": 1, "stride": 1})
 
     def out_shape(self, shape) -> tuple:
         if len(shape) != 3:
@@ -590,7 +586,7 @@ class NetworkSpec:
     layers: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "input_shape", tuple(map(operator.index, self.input_shape)))
+        object.__setattr__(self, "input_shape", _dims(self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
         names = [layer.name for layer in self.layers]
         if len(set(names)) != len(names):
@@ -746,13 +742,16 @@ def decompose_layer(layer, rank: int, *, seed: int = 0):
     return layer.decompose(rank, seed=seed)
 
 
-def check_rank(layer, rank: int) -> None:
-    """Raise ValueError, naming the layer, unless 1 <= rank <= layer.max_rank,
-    the bound the layer's decompose enforces."""
+def check_rank(layer, rank: int) -> int:
+    """`rank` as an int (see :func:`tensor._integer`).  Raises ValueError,
+    naming the layer, unless 1 <= rank <= layer.max_rank, the bound the
+    layer's decompose enforces."""
+    rank = _integer(rank, "rank")
     if not 1 <= rank <= layer.max_rank:
         raise ValueError(
             f"layer {layer.name!r}: rank must be in [1, {layer.max_rank}], got {rank}"
         )
+    return rank
 
 
 def replace_layer(net: NetworkSpec, layer_name: str, factors) -> NetworkSpec:
@@ -855,8 +854,6 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 def _read_blob(fh, shape, tag: str) -> np.ndarray:
     offset = fh.tell()
-    if any(dim < 0 for dim in shape):
-        raise ModelFormatError(f"blob {tag!r} has negative shape {shape}", offset)
     length, crc = struct.unpack("<QI", _read_exact(fh, 12, f"{tag} blob header"))
     expected = prod(shape) * 8
     if length != expected:
@@ -885,12 +882,8 @@ def _read_blob(fh, shape, tag: str) -> np.ndarray:
 
 
 def _dims(values) -> tuple:
-    """A JSON list of integers as a shape.  Booleans are refused, because
-    operator.index takes them as 0 and 1."""
-    values = list(values)
-    if any(isinstance(v, bool) for v in values):
-        raise TypeError(f"{values} holds a boolean")
-    return tuple(map(operator.index, values))
+    """A sequence of extents, each an integer >= 0, as a shape of ints."""
+    return tuple(_integer(v, "extent", 0) for v in values)
 
 
 def _layer_from_manifest(entry, fh):
@@ -909,7 +902,7 @@ def _layer_from_manifest(entry, fh):
             if not isinstance(tag, str):
                 raise TypeError(f"tag {tag!r} is not a string")
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ModelFormatError(f"bad blob entry in layer {name!r}: {exc}") from exc
+            raise ModelFormatError(f"bad blob entry in layer {name!r}: {exc}", fh.tell()) from exc
         arrays[tag] = _read_blob(fh, shape, tag)
 
     try:

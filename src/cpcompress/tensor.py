@@ -39,15 +39,23 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _set_integers(config, names) -> None:
-    """Replace each named field of the frozen dataclass `config` by its value
-    as an int.  ``operator.index`` refuses floats and strings instead of
-    truncating them; booleans, which it takes as 0 and 1, are refused too."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(config, name, operator.index(value))
+def _integer(value, name: str, least=None) -> int:
+    """`value` as an int, at least `least` if that is given.  ``operator.index``
+    refuses floats and strings instead of truncating them; booleans, which
+    it would take as 0 and 1, are refused too."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be an integer, not the boolean {value!r}")
+    value = operator.index(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _set_integers(obj, floors: dict) -> None:
+    """Replace each field of the frozen dataclass `obj` named in `floors`, a
+    ``{field: least}`` dict, by :func:`_integer`'s value for it."""
+    for name, least in floors.items():
+        object.__setattr__(obj, name, _integer(getattr(obj, name), name, least))
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:

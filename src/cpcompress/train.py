@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import Dataset
 from .network import NetworkSpec, decompose_layer, decomposable_layers, replace_layer
-from .tensor import _freeze, _set_integers
+from .tensor import _freeze, _integer, _set_integers
 
 __all__ = [
     "TrainConfig",
@@ -60,7 +60,7 @@ class TrainConfig:
     budget each compression stage gets.
 
     learning_rate must be positive and finite.  The other settings must be
-    integers (``operator.index``), not booleans: seed >= 0, the rest >= 1.
+    integers (see :func:`tensor._integer`): seed >= 0, the rest >= 1.
     Anything else is refused here rather than deep inside a run.
     """
 
@@ -71,13 +71,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _set_integers(self, ("batch_size", "epochs_per_stage", "lr_step", "seed"))
+        _set_integers(self, {"batch_size": 1, "epochs_per_stage": 1, "lr_step": 1, "seed": 0})
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ValueError("learning_rate must be positive and finite")
-        if self.batch_size < 1 or self.epochs_per_stage < 1 or self.lr_step < 1:
-            raise ValueError("batch_size, epochs_per_stage and lr_step must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
     def rate_for(self, epoch: int) -> float:
         return self.learning_rate * 0.1 ** (epoch // self.lr_step)
@@ -270,15 +266,16 @@ def evaluate(net: NetworkSpec, inputs, labels) -> tuple:
 def finetune(net: NetworkSpec, data: Dataset, cfg: TrainConfig, epochs: int | None = None):
     """SGD over every parameter of every layer; nothing is frozen.
 
-    Runs ``epochs`` (default cfg.epochs_per_stage) epochs and returns
-    (trained network, per-epoch stats).  Raises :class:`DivergedError` if
-    the activations or the loss stop being finite.
+    Runs ``epochs`` (default cfg.epochs_per_stage; an integer >= 0) epochs
+    and returns (trained network, per-epoch stats).  Raises
+    :class:`DivergedError` if the activations or the loss stop being finite.
     """
+    epochs = cfg.epochs_per_stage if epochs is None else _integer(epochs, "epochs", 0)
     params = _params(net)
     rng = np.random.default_rng(cfg.seed)
     n = data.train_x.shape[0]
     history = []
-    for epoch in range(cfg.epochs_per_stage if epochs is None else int(epochs)):
+    for epoch in range(epochs):
         rate = cfg.rate_for(epoch)
         order = rng.permutation(n)
         loss_sum = 0.0

@@ -128,6 +128,19 @@ class TestAllocateRanks:
         with pytest.raises(ValueError):
             allocate_ranks(report, {"fc": 10})
 
+    def test_budget_for_a_group_without_layers_rejected(self):
+        report = report_from({"conv": [1.0]})
+        with pytest.raises(ValueError, match=r"groups without layers: \['fcc'\]"):
+            allocate_ranks(report, {"conv": 4, "fcc": 9})
+
+    @pytest.mark.parametrize("budget", [7.9, True, "7"], ids=["7.9", "true", "text"])
+    def test_budget_must_be_an_integer(self, budget):
+        # 7.9 was once split as 7, and True as 1.
+        report = report_from({"conv": [1.0]})
+        with pytest.raises(TypeError):
+            allocate_ranks(report, {"conv": budget})
+        assert allocate_ranks(report, {"conv": np.int64(7)}) == {"conv1": 7}
+
     def test_table_rejects_repeated_layer(self):
         report = report_from({"conv": [1.5, 2.5]})
         text = report.to_table() + "conv\tconv1\t0.0\t0.5\n"

@@ -221,6 +221,8 @@ class TestDecompose:
         ("conv=8,fc", "bad budget component"),
         ("conv=99999999999999999999999,fc=5", "outside [0, 2**53]"),
         ("conv=4,conv=6,fc=5", "group 'conv' is given twice"),
+        # Once dropped in silence, with exit 0.
+        ("conv=8,fc=9,bogus=3", "budgets name groups without layers: ['bogus']"),
     ])
     def test_refused_rank_budget(self, toy_model_path, capsys, budget, words):
         code = main([
@@ -328,7 +330,9 @@ class TestAllocate:
         ("conv=99999999999999999999999,fc=6", "outside [0, 2**53]"),
         # Once accepted, the last value winning.
         ("conv=4,conv=6,fc=6", "group 'conv' is given twice"),
-    ], ids=["no-value", "above-2**53", "repeated-group"])
+        # Once dropped in silence, with exit 0.
+        ("conv=4,fc=6,fcc=9", "budgets name groups without layers: ['fcc']"),
+    ], ids=["no-value", "above-2**53", "repeated-group", "unknown-group"])
     def test_bad_budget_exit(self, tmp_path, capsys, budget, words):
         report = tmp_path / "report.tsv"
         report.write_text(
@@ -379,6 +383,19 @@ class TestAllocate:
 
 
 class TestProbe:
+    def test_rank_above_bound_refused_before_baseline_training(self, capsys, monkeypatch):
+        # Once refused only after the baseline had trained and three layers
+        # had been probed.
+        def no_training(*args, **kwargs):
+            raise AssertionError("baseline training started")
+
+        monkeypatch.setattr(cpcompress.cli, "finetune", no_training)
+        code = main(["probe", "--probe-rank", "11"])
+        assert code == EXIT_ARGS
+        assert _one_line_error(capsys) == (
+            "error: invalid probe rank: layer 'fc2': rank must be in [1, 10], got 11"
+        )
+
     def test_probe_emits_parseable_report(self, tmp_path, capsys):
         code = main([
             "probe", "--seed", "0", "--baseline-epochs", "2",

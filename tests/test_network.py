@@ -408,16 +408,44 @@ class TestIntegerFields:
         lambda: MaxPool("pool", 2.0, 2),
         lambda: MaxPool("pool", 2, 1.5),
         lambda: NetworkSpec((2, 8.0, 8), ()),
-    ], ids=["conv-channels", "conv-groups", "pool-window", "pool-stride", "input-shape"])
+        # ConvSpec, MaxPool and NetworkSpec once took True as 1.
+        lambda: ConvSpec(True, True, True),
+        lambda: MaxPool("pool", True, True),
+        lambda: NetworkSpec((True, 4, 4), ()),
+        lambda: NetworkSpec((2, np.True_, 4), ()),
+    ], ids=["conv-channels", "conv-groups", "pool-window", "pool-stride", "input-shape",
+            "conv-true", "pool-true", "input-shape-true", "input-shape-numpy-true"])
     def test_non_integers_refused(self, make):
         with pytest.raises(TypeError):
             make()
 
+    @pytest.mark.parametrize("make, words", [
+        (lambda: ConvSpec(0, 1, 1), "out_channels must be >= 1, got 0"),
+        (lambda: ConvSpec(4, 2, 3, padding=-1), "padding must be >= 0, got -1"),
+        (lambda: ConvSpec(4, 2, 2), "kernel_size must be odd, got 2"),
+        (lambda: MaxPool("pool", 2, 0), "stride must be >= 1, got 0"),
+        (lambda: NetworkSpec((2, -1, 4), ()), "extent must be >= 0, got -1"),
+    ], ids=["conv-channels", "conv-padding", "conv-even-kernel", "pool-stride", "input-shape"])
+    def test_out_of_range_refused(self, make, words):
+        with pytest.raises(ValueError, match=words):
+            make()
+
+    @pytest.mark.parametrize("name", ["conv1", "fc2"])
+    @pytest.mark.parametrize("rank", [2.5, True, "2"], ids=["2.5", "true", "text"])
+    def test_decompose_layer_refuses_non_integer_ranks(self, name, rank):
+        # 2.5 was once taken as 3 for conv1 and failed in numpy's slicing for
+        # fc2; True was taken as 1.
+        with pytest.raises(TypeError):
+            decompose_layer(toy_cnn(seed=0).layer(name), rank)
+
     def test_numpy_integers_become_ints(self):
         spec = ConvSpec(np.int64(4), 2, np.int32(3), groups=np.int64(2))
         pool = MaxPool("pool", np.int64(2), np.int16(2))
-        for value in (spec.out_channels, spec.kernel_size, spec.groups, pool.window, pool.stride):
+        net = NetworkSpec((np.int64(2), np.int32(4), 4), ())
+        for value in (spec.out_channels, spec.kernel_size, spec.groups, pool.window, pool.stride,
+                      *net.input_shape):
             assert type(value) is int
+        assert decompose_layer(toy_cnn(seed=0).layer("fc2"), np.int64(3)).rank == 3
 
 
 class TestNetworkSpecValidation:

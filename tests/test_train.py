@@ -269,6 +269,14 @@ class TestFinetune:
         assert history == []
         assert out == net
 
+    @pytest.mark.parametrize("epochs, error", [
+        (1.9, TypeError), (True, TypeError), (-1, ValueError),
+    ], ids=["1.9", "true", "negative"])
+    def test_epochs_must_be_an_integer_of_at_least_0(self, epochs, error):
+        # Once run as 1, 1 and 0 epochs.
+        with pytest.raises(error):
+            finetune(toy_cnn(seed=1), tiny_dataset(), TrainConfig(seed=0), epochs=epochs)
+
     def test_zero_scaled_update_is_bit_identical(self):
         # A parameter step scaled by zero must not perturb a single bit.
         data = tiny_dataset()
